@@ -2,8 +2,9 @@
 /// against GPU, plus the masked variant on each backend.
 ///
 /// Paper-shape expectation: the masked product wins on both backends — the
-/// sequential backend switches to mask-driven dot products, the GPU backend
-/// prunes the expansion before paying for the contraction (Abl. B).
+/// sequential backend seeds each Gustavson row from the mask and skips the
+/// products outside it, the GPU backend prunes the expansion before paying
+/// for the contraction (Abl. B).
 ///
 /// The gpu_esc / gpu_hash / gpu_auto rows pin the SpGEMM strategy so the
 /// adaptive selector can be audited: on the high-compression upper scales

@@ -78,9 +78,9 @@ void BM_tc_gpu_burkhardt(benchmark::State& state) {
 /// Word-format row: the masked Sandia mxm once through the SpGEMM engines
 /// (Bit off) and once forced onto the AND-popcount word path. The counts
 /// must agree exactly or the row is voided. Unlike the BFS rows, the bit
-/// views here live on L and transpose(L) — per-call temporaries — so the
-/// forced pass pays its view builds inside the timed region; bytes_ratio
-/// therefore reports the honest all-in cost.
+/// views here (the row and column views of C<L> = L·L) live on L only — a
+/// per-call temporary — so the forced pass pays its view builds inside the
+/// timed region; bytes_ratio therefore reports the honest all-in cost.
 void BM_tc_gpu_bit_vs_csr(benchmark::State& state) {
   auto a = graph_at<grb::GpuSim>(static_cast<unsigned>(state.range(0)));
   auto& dev = gpu_sim::device();

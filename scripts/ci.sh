@@ -51,8 +51,22 @@ cmake -B "${SAN_BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   >/dev/null
-cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" --target test_differential_fuzz
+cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" --target test_differential_fuzz \
+  --target test_matrix_mask_sweep --target test_oracles
 ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" -L fuzz
+
+echo "==> sanitizers: masked-mxm and select sweeps"
+# The CPU backends' mask-seeded Gustavson indexes its flag and accumulator
+# arrays by column, and the device matrix select compacts its flags by
+# entry. The matrix mask sweep (every mask kind x accum x Merge/Replace,
+# valued masks with stored falses, CpuPar at 1 and 4 workers) and the
+# oracles' triangle counts drive both; replay them plain, hash-pinned, and
+# with the word path forced on the all-one triangle operands.
+for env in "" GBTL_SPGEMM_MODE=hash GBTL_BIT_MODE=force; do
+  for t in test_matrix_mask_sweep test_oracles; do
+    env ${env} "${SAN_BUILD_DIR}/tests/${t}" --gtest_brief=1
+  done
+done
 
 echo "==> sanitizers: fusion-forced fuzz sweep"
 # The fuzz harness zips fusion modes across its GPU legs, but the Auto

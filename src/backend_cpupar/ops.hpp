@@ -119,90 +119,21 @@ std::shared_ptr<const CscLayout<AT>> csc_of(const Matrix<AT>& A) {
 // mxm — matrix multiply over a semiring
 // ===========================================================================
 
-/// Row-parallel Gustavson (dense per-chunk accumulator) or, under a
-/// non-complemented mask, row-parallel masked dot products — the same two
-/// paths as the Sequential backend, with rows distributed over the pool.
+/// Row-parallel mask-seeded Gustavson: the Sequential row kernel
+/// (seq_backend::detail::GustavsonRows), one instance per row chunk.
+/// kRowChunk is coarse so the dense accumulator's initialization amortizes.
 template <typename CT, typename MObj, typename Accum, typename SR,
           typename AT, typename BT>
 void mxm(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
          const Matrix<AT>& A, const Matrix<BT>& B) {
   using ZT = typename SR::result_type;
   Matrix<ZT> T(C.nrows(), C.ncols());
-
-  constexpr bool kHasMaskObj = !std::is_same_v<MObj, EmptyMaskObj>;
-  bool used_dot_path = false;
-  if constexpr (kHasMaskObj) {
-    if (out.mask.mask != nullptr && !out.mask.complement) {
-      // Compute only where the mask allows: T(i,j) = A(i,:) dot B(:,j).
-      // The transpose is built once, serially; the dot rows are independent.
-      const Matrix<BT> Bt = detail::transposed(B);
-      parallel_ranges(C.nrows(), kVectorChunk,
-                      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          typename Matrix<ZT>::Row trow;
-          for (const auto& [j, mv] : out.mask.mask->row(i)) {
-            if (!out.mask.structural && !write_rules::truthy(mv)) continue;
-            const auto& arow = A.row(i);
-            const auto& bcol = Bt.row(j);
-            std::size_t ai = 0, bi = 0;
-            ZT acc = sr.zero();
-            bool any = false;
-            while (ai < arow.size() && bi < bcol.size()) {
-              if (arow[ai].first < bcol[bi].first) {
-                ++ai;
-              } else if (bcol[bi].first < arow[ai].first) {
-                ++bi;
-              } else {
-                acc = sr.add(acc, sr.mult(arow[ai].second, bcol[bi].second));
-                any = true;
-                ++ai, ++bi;
-              }
-            }
-            if (any) trow.emplace_back(j, acc);
-          }
-          T.set_row(i, std::move(trow));
-        }
-      });
-      used_dot_path = true;
-    }
-  }
-
-  if (!used_dot_path) {
-    // Gustavson: T(i,:) = sum_k A(i,k) * B(k,:). Each chunk owns a private
-    // dense accumulator (kRowChunk is coarse so its initialization
-    // amortizes); the per-row product/fold chain is the Sequential one.
-    const IndexType ncols = C.ncols();
-    parallel_ranges(A.nrows(), kRowChunk,
-                    [&](std::size_t begin, std::size_t end) {
-      std::vector<ZT> acc(ncols, sr.zero());
-      std::vector<std::uint8_t> occupied(ncols, 0);
-      std::vector<IndexType> touched;
-      for (std::size_t i = begin; i < end; ++i) {
-        touched.clear();
-        for (const auto& [k, av] : A.row(i)) {
-          for (const auto& [j, bv] : B.row(k)) {
-            const ZT prod = sr.mult(av, bv);
-            if (!occupied[j]) {
-              occupied[j] = 1;
-              acc[j] = prod;
-              touched.push_back(j);
-            } else {
-              acc[j] = sr.add(acc[j], prod);
-            }
-          }
-        }
-        std::sort(touched.begin(), touched.end());
-        typename Matrix<ZT>::Row trow;
-        trow.reserve(touched.size());
-        for (IndexType j : touched) {
-          trow.emplace_back(j, acc[j]);
-          occupied[j] = 0;
-        }
-        T.set_row(i, std::move(trow));
-      }
-    });
-  }
-
+  parallel_ranges(A.nrows(), kRowChunk,
+                  [&](std::size_t begin, std::size_t end) {
+    seq_backend::detail::GustavsonRows<ZT> rows(C.ncols(), sr.zero());
+    for (std::size_t i = begin; i < end; ++i)
+      T.set_row(i, rows(i, sr, A, B, out.mask));
+  });
   pipeline::write_matrix_par(C, T, out, accum);
 }
 

@@ -12,10 +12,11 @@
 ///   - mxv is a row-parallel CSR SpMV kernel;
 ///   - vxm is an atomic-scatter push kernel (simulated serially, modeled at
 ///     full throughput);
-///   - element-wise ops are search+compact pipelines over sorted COO keys;
-///   - rare structural ops (extract/assign on matrices, kronecker, select on
-///     matrices) fall back to the host with fully accounted transfers — the
-///     documented GBTL-CUDA practice for operations without device kernels.
+///   - element-wise ops and matrix select are search+compact pipelines over
+///     sorted COO keys;
+///   - rare structural ops (extract/assign on matrices, kronecker) fall back
+///     to the host with fully accounted transfers — the documented
+///     GBTL-CUDA practice for operations without device kernels.
 
 #include <algorithm>
 #include <type_traits>
@@ -617,7 +618,7 @@ void mxm(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   // operands carry only 1-valued entries (the structure-only case — charged
   // inspector below) and the semiring is plus-times, every allowed C(i, j)
   // is exactly popcount(rowbits_A(i) & rowbits_Bᵀ(j)). The masked-triangle
-  // workload (tril(A)·tril(A)ᵀ under mask A) hits this shape. The strategy
+  // workload (L·L under mask L, L = tril(A)) hits this shape. The strategy
   // selection above still runs and is still counted — the Bit path competes
   // against (and is ratified by) its estimate.
   bool bit_done = false;
@@ -1921,6 +1922,36 @@ void select_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
   pipeline::write_vector(w, t_vals, t_pres, out, accum);
 }
 
+/// Matrix select: one predicate kernel over the COO expansion, then the
+/// kept keys and values are compacted, still sorted, for the write-back.
+template <typename CT, typename MObj, typename Accum, typename Pred,
+          typename AT>
+void select_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
+                Pred pred, const Matrix<AT>& A) {
+  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
+  using detail::LaunchStats;
+  gpu_sim::Context& ctx = C.context();
+  auto keys = pipeline::coo_keys(A);
+  const IndexType nnz = A.nvals();
+  gpu_sim::device_vector<std::uint8_t> flags(nnz, ctx);
+  const IndexType* k = keys.data();
+  const AT* av = A.values().data();
+  std::uint8_t* fl = flags.data();
+  const IndexType ncols = A.ncols();
+  const Pred p = pred;
+  ctx.launch_n(nnz,
+               LaunchStats{3 * nnz,
+                           nnz * (sizeof(IndexType) + sizeof(AT)), nnz},
+               [=](std::size_t q) {
+                 fl[q] = p(k[q] / ncols, k[q] % ncols, av[q]) ? 1 : 0;
+               });
+  gpu_sim::device_vector<IndexType> kept_keys(ctx);
+  gpu_sim::device_vector<AT> kept_vals(ctx);
+  gpu_sim::copy_flagged(keys, flags, kept_keys);
+  gpu_sim::copy_flagged(A.values(), flags, kept_vals);
+  pipeline::write_matrix(C, kept_keys, kept_vals, out, accum);
+}
+
 // --- Host fallbacks (documented substitution: GBTL-CUDA routed rare
 // structural ops through the host; every byte of transfer is accounted). ---
 
@@ -2064,19 +2095,6 @@ void kronecker(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
   const auto host_b = detail::download(B);
   detail::with_seq_output(out, [&](const auto& seq_out) {
     seq_backend::kronecker(host_c, seq_out, accum, op, host_a, host_b);
-  });
-  detail::upload(C, host_c);
-}
-
-template <typename CT, typename MObj, typename Accum, typename Pred,
-          typename AT>
-void select_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
-                Pred pred, const Matrix<AT>& A) {
-  sparse::fusion_sync_all();  // not whitelisted: host fallback
-  auto host_c = detail::download(C);
-  const auto host_a = detail::download(A);
-  detail::with_seq_output(out, [&](const auto& seq_out) {
-    seq_backend::select_mat(host_c, seq_out, accum, pred, host_a);
   });
   detail::upload(C, host_c);
 }

@@ -10,6 +10,7 @@
 /// there (and in gbtl/write_rules.hpp), not in the per-op bodies.
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -27,7 +28,7 @@ namespace grb::seq_backend {
 namespace detail {
 
 /// Materialized transpose (helper for TransposeView lowering and the
-/// dot-product mxm path).
+/// transpose operation).
 template <typename T>
 Matrix<T> transposed(const Matrix<T>& A) {
   Matrix<T> At(A.ncols(), A.nrows());
@@ -36,86 +37,96 @@ Matrix<T> transposed(const Matrix<T>& A) {
   return At;
 }
 
+/// Gustavson's row-by-row SpGEMM with a dense accumulator: the mxm kernel of
+/// both CPU backends (CpuPar runs one instance per row chunk). The products
+/// of an output slot fold in ascending k with the first one stored
+/// directly — the order of GpuSim's hash and ESC engines, so every backend
+/// agrees bit for bit.
+///
+/// A non-complemented mask seeds the row: its allowed columns are flagged
+/// first, a product that lands on no flag is skipped before it is computed,
+/// and the row is emitted in mask-row order. A complemented mask cannot
+/// bound the row, so it acts only at write-back.
+template <typename ZT>
+class GustavsonRows {
+ public:
+  GustavsonRows(IndexType ncols, ZT zero)
+      : acc_(ncols, zero), state_(ncols, kUnset) {}
+
+  /// Row i of T̃ = A·B under @p mask.
+  template <typename SR, typename AT, typename BT, typename MObj>
+  typename Matrix<ZT>::Row operator()(IndexType i, SR sr,
+                                      const Matrix<AT>& A,
+                                      const Matrix<BT>& B,
+                                      const MaskDesc<MObj>& mask) {
+    typename Matrix<ZT>::Row trow;
+    if constexpr (!std::is_same_v<MObj, EmptyMaskObj>) {
+      if (mask.mask != nullptr && !mask.complement) {
+        const auto& mrow = mask.mask->row(i);
+        for (const auto& [j, mv] : mrow)
+          if (mask.structural || write_rules::truthy(mv)) state_[j] = kSeed;
+        fold(i, sr, A, B, /*seeded=*/true);
+        for (const auto& [j, mv] : mrow) {
+          (void)mv;
+          if (state_[j] == kFilled) trow.emplace_back(j, acc_[j]);
+          state_[j] = kUnset;
+        }
+        return trow;
+      }
+    }
+    touched_.clear();
+    fold(i, sr, A, B, /*seeded=*/false);
+    std::sort(touched_.begin(), touched_.end());
+    trow.reserve(touched_.size());
+    for (IndexType j : touched_) {
+      trow.emplace_back(j, acc_[j]);
+      state_[j] = kUnset;
+    }
+    return trow;
+  }
+
+ private:
+  enum : std::uint8_t { kUnset, kSeed, kFilled };
+
+  /// Fold row i's products in ascending k. Seeded, a product counts only on
+  /// a flagged column; unseeded, every product opens its column.
+  template <typename SR, typename AT, typename BT>
+  void fold(IndexType i, SR sr, const Matrix<AT>& A, const Matrix<BT>& B,
+            bool seeded) {
+    for (const auto& [k, av] : A.row(i))
+      for (const auto& [j, bv] : B.row(k)) {
+        std::uint8_t& s = state_[j];
+        if (s == kFilled) {
+          acc_[j] = sr.add(acc_[j], sr.mult(av, bv));
+        } else if (s == kSeed || !seeded) {
+          acc_[j] = sr.mult(av, bv);
+          s = kFilled;
+          if (!seeded) touched_.push_back(j);
+        }
+      }
+  }
+
+  std::vector<ZT> acc_;
+  std::vector<std::uint8_t> state_;
+  std::vector<IndexType> touched_;
+};
+
 }  // namespace detail
 
 // ===========================================================================
 // mxm — matrix multiply over a semiring
 // ===========================================================================
 
-/// Unmasked/complement path: Gustavson row-by-row with a dense accumulator.
-/// Non-complemented masked path: dot products evaluated only at mask-allowed
-/// positions (the "masked early exit" the paper's triangle-count relies on).
+/// Row-by-row mask-seeded Gustavson (detail::GustavsonRows).
 template <typename CT, typename MObj, typename Accum, typename SR,
           typename AT, typename BT>
 void mxm(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
          const Matrix<AT>& A, const Matrix<BT>& B) {
   using ZT = typename SR::result_type;
   Matrix<ZT> T(C.nrows(), C.ncols());
-
-  constexpr bool kHasMaskObj = !std::is_same_v<MObj, EmptyMaskObj>;
-  bool used_dot_path = false;
-  if constexpr (kHasMaskObj) {
-    if (out.mask.mask != nullptr && !out.mask.complement) {
-      // Compute only where the mask allows: T(i,j) = A(i,:) dot B(:,j).
-      const Matrix<BT> Bt = detail::transposed(B);
-      for (IndexType i = 0; i < C.nrows(); ++i) {
-        typename Matrix<ZT>::Row trow;
-        for (const auto& [j, mv] : out.mask.mask->row(i)) {
-          if (!out.mask.structural && !write_rules::truthy(mv)) continue;
-          const auto& arow = A.row(i);
-          const auto& bcol = Bt.row(j);
-          std::size_t ai = 0, bi = 0;
-          ZT acc = sr.zero();
-          bool any = false;
-          while (ai < arow.size() && bi < bcol.size()) {
-            if (arow[ai].first < bcol[bi].first) {
-              ++ai;
-            } else if (bcol[bi].first < arow[ai].first) {
-              ++bi;
-            } else {
-              acc = sr.add(acc, sr.mult(arow[ai].second, bcol[bi].second));
-              any = true;
-              ++ai, ++bi;
-            }
-          }
-          if (any) trow.emplace_back(j, acc);
-        }
-        T.set_row(i, std::move(trow));
-      }
-      used_dot_path = true;
-    }
-  }
-
-  if (!used_dot_path) {
-    // Gustavson: T(i,:) = sum_k A(i,k) * B(k,:).
-    std::vector<ZT> acc(C.ncols(), sr.zero());
-    std::vector<std::uint8_t> occupied(C.ncols(), 0);
-    std::vector<IndexType> touched;
-    for (IndexType i = 0; i < A.nrows(); ++i) {
-      touched.clear();
-      for (const auto& [k, av] : A.row(i)) {
-        for (const auto& [j, bv] : B.row(k)) {
-          const ZT prod = sr.mult(av, bv);
-          if (!occupied[j]) {
-            occupied[j] = 1;
-            acc[j] = prod;
-            touched.push_back(j);
-          } else {
-            acc[j] = sr.add(acc[j], prod);
-          }
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      typename Matrix<ZT>::Row trow;
-      trow.reserve(touched.size());
-      for (IndexType j : touched) {
-        trow.emplace_back(j, acc[j]);
-        occupied[j] = 0;
-      }
-      T.set_row(i, std::move(trow));
-    }
-  }
-
+  detail::GustavsonRows<ZT> rows(C.ncols(), sr.zero());
+  for (IndexType i = 0; i < A.nrows(); ++i)
+    T.set_row(i, rows(i, sr, A, B, out.mask));
   pipeline::write_matrix(C, T, out, accum);
 }
 

@@ -109,6 +109,22 @@ Tuples run_mxm_reduce(unsigned seed) {
   return t;
 }
 
+template <typename Tag>
+Tuples run_masked_mxm(unsigned seed) {
+  // A*A under A's own structure: the mask-seeded Gustavson, on enough rows
+  // (three kRowChunk chunks) that several workers run it at once.
+  const auto a = random_graph<Tag>(seed, 2500, 4);
+  grb::Matrix<double, Tag> c(a.nrows(), a.ncols());
+  grb::mxm(c, grb::structure(a), grb::NoAccumulate{},
+           grb::ArithmeticSemiring<double>{}, a, a);
+  IndexArrayType rows, cols;
+  Tuples t;
+  c.extractTuples(rows, cols, t.vals);
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    t.idx.push_back(rows[k] * a.ncols() + cols[k]);
+  return t;
+}
+
 class CpuParDeterminism : public ::testing::TestWithParam<unsigned> {};
 
 /// Same graph + seed, 16 runs under pools of 1, 2, and 8 workers: every run
@@ -154,6 +170,22 @@ TEST_P(CpuParDeterminism, MxmReduceByteIdenticalAcrossWorkerCounts) {
       const Tuples got = run_mxm_reduce<grb::CpuPar>(seed);
       ASSERT_TRUE(got.bytes_equal(want))
           << "mxm+reduce diverged from sequential bytes: seed " << seed
+          << ", workers " << workers << ", run " << run;
+    }
+  }
+}
+
+TEST_P(CpuParDeterminism, MaskedMxmByteIdenticalAcrossWorkerCounts) {
+  const unsigned seed = 7400 + GetParam();
+  const Tuples want = run_masked_mxm<grb::Sequential>(seed);
+  ASSERT_FALSE(want.idx.empty());
+  for (const std::size_t workers : kWorkerCounts) {
+    gpu_sim::ThreadPool pool(workers);
+    grb::cpupar_backend::ScopedPool bind(pool);
+    for (int run = 0; run < kRuns; ++run) {
+      const Tuples got = run_masked_mxm<grb::CpuPar>(seed);
+      ASSERT_TRUE(got.bytes_equal(want))
+          << "masked mxm diverged from sequential bytes: seed " << seed
           << ", workers " << workers << ", run " << run;
     }
   }

@@ -21,8 +21,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <random>
 #include <set>
@@ -41,6 +39,7 @@
 #include "sparse/shard_plan.hpp"
 #include "sparse/spgemm_select.hpp"
 #include "sparse/spmv_select.hpp"
+#include "spgemm_pin.hpp"
 
 namespace {
 
@@ -89,14 +88,9 @@ std::size_t shard_count_for_case(unsigned c) {
 // mxm sweeps every SpGEMM strategy: forced ESC, forced hash, and Auto —
 // the selector's pick must be bit-exact with both forced paths and the
 // sequential oracle. scripts/ci.sh pins the sanitizer re-run to one mode
-// via GBTL_SPGEMM_MODE (the env var cannot reach ctest-discovered shards,
-// so the ASan stage invokes the binary directly).
+// via GBTL_SPGEMM_MODE (spgemm_pin.hpp).
 std::vector<sparse::SpgemmMode> spgemm_sweep_modes() {
-  if (const char* pin = std::getenv("GBTL_SPGEMM_MODE")) {
-    if (std::strcmp(pin, "esc") == 0) return {sparse::SpgemmMode::Esc};
-    if (std::strcmp(pin, "hash") == 0) return {sparse::SpgemmMode::Hash};
-    if (std::strcmp(pin, "auto") == 0) return {sparse::SpgemmMode::Auto};
-  }
+  if (const auto pin = spgemm_pin_from_env()) return {*pin};
   return {sparse::SpgemmMode::Esc, sparse::SpgemmMode::Hash,
           sparse::SpgemmMode::Auto};
 }

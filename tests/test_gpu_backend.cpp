@@ -11,6 +11,8 @@
 #include "gpu_sim/context.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_matrix.hpp"
+#include "sparse/bitmap.hpp"
+#include "sparse/spgemm_select.hpp"
 #include "sparse/spmv_select.hpp"
 
 namespace {
@@ -119,6 +121,39 @@ TEST(GpuCostShape, MaskedMxmCheaperThanUnmaskedOnSparseMask) {
              grb::ArithmeticSemiring<double>{}, a, a, grb::Replace);
   });
   EXPECT_LT(masked.simulated_kernel_time_s, unmasked.simulated_kernel_time_s);
+}
+
+TEST(GpuCostShape, MaskedTriangleCountPaysOnlyForWedges) {
+  // C<L> = L·L expands exactly the wedges j < k < i through their middle
+  // vertex k: Σ_k lo(k)·hi(k) products, lo/hi counting k's neighbours with
+  // a smaller/larger id. Each product the mask keeps closes one triangle,
+  // so kept + avoided must equal that sum under both numeric engines.
+  auto g = gbtl_graph::deduplicate(gbtl_graph::symmetrize(
+      gbtl_graph::deduplicate(gbtl_graph::remove_self_loops(
+          gbtl_graph::rmat(10, 8, 12)))));
+  std::vector<std::uint64_t> lo(g.num_vertices, 0), hi(g.num_vertices, 0);
+  for (IndexType e = 0; e < g.num_edges(); ++e)
+    ++(g.dst[e] < g.src[e] ? lo : hi)[g.src[e]];
+  std::uint64_t wedges = 0;
+  for (IndexType k = 0; k < g.num_vertices; ++k) wedges += lo[k] * hi[k];
+  auto a = gbtl_graph::to_matrix<double, grb::GpuSim>(g);
+
+  sparse::BitModeGuard words_off(sparse::BitMode::Off);
+  for (const auto mode : {sparse::SpgemmMode::Esc, sparse::SpgemmMode::Hash}) {
+    sparse::SpgemmModeGuard pin(mode);
+    std::uint64_t triangles = 0;
+    const auto d = run_and_measure(
+        [&] { triangles = algorithms::triangle_count_masked(a); });
+    EXPECT_GT(triangles, 0u);
+    EXPECT_EQ(d.spgemm_masked_products_avoided + triangles, wedges)
+        << "mode " << static_cast<int>(mode);
+  }
+
+  // The strict lower triangle is a device select: no host round trip.
+  const auto d = run_and_measure([&] { algorithms::lower_triangle(a); });
+  EXPECT_EQ(d.h2d_transfers, 0u);
+  EXPECT_EQ(d.d2h_transfers, 0u);
+  EXPECT_GT(d.kernel_launches, 0u);
 }
 
 TEST(GpuCostShape, TransferPenaltyDominatesSmallWork) {

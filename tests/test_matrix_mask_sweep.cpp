@@ -3,18 +3,24 @@
 ///                complement(structure)}
 /// x accumulate  {none, Plus}
 /// x output ctl  {Merge, Replace}
-/// is run for mxm, eWiseAdd and eWiseMult on MATRIX outputs, differentially:
-/// the GpuSim backend must produce the sequential backend's result pattern-
-/// and value-exactly. (The sequential backend's own semantics are pinned
+/// is run for mxm, eWiseAdd, eWiseMult and select on MATRIX outputs,
+/// differentially: the GpuSim backend must produce the sequential backend's
+/// result pattern- and value-exactly, and CpuPar must reproduce its bytes
+/// at 1 and 4 workers. (The sequential backend's own semantics are pinned
 /// against an independent reference model in test_mask_sweep.cpp.)
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "backend_cpupar/pool.hpp"
 #include "gbtl/gbtl.hpp"
+#include "gpu_sim/thread_pool.hpp"
+#include "spgemm_pin.hpp"
 
 namespace {
 
@@ -28,7 +34,7 @@ enum class MaskKind {
   ComplementStructure
 };
 enum class AccumKind { None, Plus };
-enum class OpKind { Mxm, EwiseAdd, EwiseMult };
+enum class OpKind { Mxm, EwiseAdd, EwiseMult, Select };
 
 constexpr std::size_t kDim = 8;
 
@@ -72,6 +78,13 @@ void run_op(Problem<Tag>& p, OpKind op, MaskKind mk, AccumKind ak,
       case OpKind::EwiseMult:
         grb::eWiseMult(p.c0, m, acc, grb::Times<double>{}, p.a, p.b, outp);
         break;
+      case OpKind::Select:
+        grb::select(p.c0, m, acc,
+                    [](IndexType i, IndexType j, double v) {
+                      return j < i + 2 && v > -2.0;
+                    },
+                    p.a, outp);
+        break;
     }
   };
   auto with_mask = [&](const auto& acc) {
@@ -108,13 +121,31 @@ void expect_same(const grb::Matrix<double, grb::GpuSim>& got,
     }
 }
 
+struct Tuples {
+  grb::IndexArrayType rows, cols;
+  std::vector<double> vals;
+
+  bool bytes_equal(const Tuples& o) const {
+    return rows == o.rows && cols == o.cols && vals.size() == o.vals.size() &&
+           std::memcmp(vals.data(), o.vals.data(),
+                       vals.size() * sizeof(double)) == 0;
+  }
+};
+
+template <typename Tag>
+Tuples tuples_of(const grb::Matrix<double, Tag>& m) {
+  Tuples t;
+  m.extractTuples(t.rows, t.cols, t.vals);
+  return t;
+}
+
 using Combo = std::tuple<int /*op*/, int /*mask*/, int /*accum*/,
                          int /*replace*/, unsigned /*seed*/>;
 
 class MatrixMaskSweep : public ::testing::TestWithParam<Combo> {};
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
-  static const char* op_names[] = {"Mxm", "EwiseAdd", "EwiseMult"};
+  static const char* op_names[] = {"Mxm", "EwiseAdd", "EwiseMult", "Select"};
   static const char* mask_names[] = {"NoMask", "Value", "Structure",
                                      "ComplValue", "ComplStructure"};
   return std::string(op_names[std::get<0>(info.param)]) + "_" +
@@ -124,28 +155,41 @@ std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
          std::to_string(std::get<4>(info.param));
 }
 
-TEST_P(MatrixMaskSweep, GpuMatchesSequential) {
-  const auto [opi, mki, aki, repi, seed] = GetParam();
-  const auto op = static_cast<OpKind>(opi);
-  const auto mk = static_cast<MaskKind>(mki);
-  const auto ak = static_cast<AccumKind>(aki);
-  const auto outp = repi ? grb::Replace : grb::Merge;
-
+/// Run the combo on a fresh problem of backend Tag; returns the output.
+template <typename Tag>
+Problem<Tag> run_combo(const Combo& c) {
+  const auto [opi, mki, aki, repi, seed] = c;
   const unsigned s = seed * 7919u + opi * 1031u + mki * 131u + aki * 17u +
                      repi;
-  auto seq = make_problem<grb::Sequential>(s);
-  auto gpu = make_problem<grb::GpuSim>(s);
+  auto p = make_problem<Tag>(s);
+  run_op(p, static_cast<OpKind>(opi), static_cast<MaskKind>(mki),
+         static_cast<AccumKind>(aki), repi ? grb::Replace : grb::Merge);
+  return p;
+}
 
-  run_op(seq, op, mk, ak, outp);
-  run_op(gpu, op, mk, ak, outp);
-
+TEST_P(MatrixMaskSweep, GpuMatchesSequential) {
+  sparse::SpgemmModeGuard pin(
+      spgemm_pin_from_env().value_or(sparse::spgemm_mode()));
+  const auto seq = run_combo<grb::Sequential>(GetParam());
+  const auto gpu = run_combo<grb::GpuSim>(GetParam());
   expect_same(gpu.c0, seq.c0, combo_name(::testing::TestParamInfo<Combo>(
                                   GetParam(), 0)));
 }
 
+TEST_P(MatrixMaskSweep, CpuParMatchesSequentialBytes) {
+  const Tuples want = tuples_of(run_combo<grb::Sequential>(GetParam()).c0);
+  for (const std::size_t workers : {1u, 4u}) {
+    gpu_sim::ThreadPool pool(workers);
+    grb::cpupar_backend::ScopedPool bind(pool);
+    EXPECT_TRUE(
+        tuples_of(run_combo<grb::CpuPar>(GetParam()).c0).bytes_equal(want))
+        << "workers " << workers;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, MatrixMaskSweep,
-    ::testing::Combine(::testing::Range(0, 3),   // op kinds
+    ::testing::Combine(::testing::Range(0, 4),   // op kinds
                        ::testing::Range(0, 5),   // mask kinds
                        ::testing::Range(0, 2),   // accum kinds
                        ::testing::Range(0, 2),   // merge/replace

@@ -15,6 +15,7 @@
 #include "algorithms/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_matrix.hpp"
+#include "spgemm_pin.hpp"
 
 namespace {
 
@@ -248,6 +249,14 @@ TEST_P(Oracles, TriangleCountsMatchBruteForce) {
   EXPECT_EQ(algorithms::triangle_count_masked(a), ref);
   EXPECT_EQ(algorithms::triangle_count_unmasked(a), ref);
   EXPECT_EQ(algorithms::triangle_count_burkhardt(a), ref);
+  // The device leg: select on the device, then the masked L·L through
+  // whichever SpGEMM engine (or the word path) GBTL_SPGEMM_MODE and
+  // GBTL_BIT_MODE pick.
+  sparse::SpgemmModeGuard pin(
+      spgemm_pin_from_env().value_or(sparse::spgemm_mode()));
+  auto ag = gbtl_graph::to_matrix<double, grb::GpuSim>(g);
+  EXPECT_EQ(algorithms::triangle_count_masked(ag), ref);
+  EXPECT_EQ(algorithms::triangle_count_unmasked(ag), ref);
 }
 
 TEST_P(Oracles, ComponentsMatchUnionFind) {
