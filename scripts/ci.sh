@@ -68,6 +68,18 @@ for env in "" GBTL_SPGEMM_MODE=hash GBTL_BIT_MODE=force; do
   done
 done
 
+echo "==> sanitizers: PageRank formulation pin across fusion modes"
+# PageRank scales the rank vector by 1/out-degree instead of building D⁻¹A,
+# and test_oracles' PageRankPin suite memcmps every entry point against the
+# transition-matrix formulation on every backend. The iteration order sets
+# where fused groups begin and end, so replay the pin with the planner off
+# and forced on too (the plain run above covers Auto): the bits must not
+# depend on the mode.
+for mode in off fuse; do
+  GBTL_FUSION_MODE=${mode} "${SAN_BUILD_DIR}/tests/test_oracles" \
+    --gtest_brief=1 --gtest_filter='PageRankPin.*'
+done
+
 echo "==> sanitizers: fusion-forced fuzz sweep"
 # The fuzz harness zips fusion modes across its GPU legs, but the Auto
 # default size-gates small cases the same as Fuse. Force GBTL_FUSION_MODE

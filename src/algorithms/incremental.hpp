@@ -102,11 +102,8 @@ PageRankResult pagerank_warm(const grb::Matrix<T, Tag>& graph,
   if (rank.nvals() != rank.size())
     throw grb::InvalidValueException(
         "pagerank_warm: rank must be dense (previous version's result)");
-  return detail::pagerank_run(
-      graph, rank, damping, tol, max_iterations, policy,
-      [](grb::Vector<double, Tag>&, const grb::IndexArrayType&) {
-        // Warm start: the incoming rank vector IS the seed.
-      });
+  return detail::pagerank_run(graph, nullptr, /*warm=*/true, rank, damping,
+                              tol, max_iterations, policy);
 }
 
 }  // namespace algorithms

@@ -1,15 +1,34 @@
 #pragma once
 
 /// @file pagerank.hpp
-/// PageRank as iterated vxm over the arithmetic semiring, with row
-/// normalization, teleport, and dangling-mass redistribution. The
-/// iteration machinery is shared (detail::pagerank_run) between the cold
-/// solve here and the warm-started incremental variant
-/// (algorithms::pagerank_warm in incremental.hpp): the two differ only in
-/// how `rank` is seeded, so the cold path's op sequence — and therefore
-/// its bit pattern — is unchanged by the refactor.
+/// PageRank as iterated vxm, with teleport and dangling-mass
+/// redistribution. One pipeline (detail::pagerank_run) serves the cold
+/// solve, personalized PageRank, and the warm-started variant
+/// (algorithms::pagerank_warm in incremental.hpp); they differ only in how
+/// `rank` is seeded and where the teleport lands.
+///
+/// The graph is never normalized. The textbook step multiplies `rank` by
+/// the transition matrix M = D⁻¹A (A the edge pattern, D its out-degree
+/// diagonal), whose entry M[k,j] = inv_degree[k]·1.0 is exactly
+/// inv_degree[k]. Every product that vxm folds into next[j] is therefore
+/// rank[k]·inv_degree[k]. Scaling the vector first, scaled = rank ⊙
+/// inv_degree, forms exactly those products. A vxm over the graph itself
+/// under (+, select1st) then folds them over the same k in the same order,
+/// because A and M store the same entries. The ranks are bit-identical to
+/// the matrix formulation on every backend, edge values (stored zeros
+/// included) never enter, and no n×n temporary, diagonal or SpGEMM is
+/// built. Dangling vertices have no inv_degree entry, so they drop out of
+/// `scaled` just as their empty rows of M contributed nothing.
+///
+/// Each iteration takes the dangling mass before the vxm: it and the
+/// teleport read only `rank`, and its scalar readback is a materialization
+/// point. On GpuSim the fusion planner then replays an iteration as two
+/// dataflow chains, each one composite launch (docs/fusion_dag.md): scale →
+/// dangling rank → Σ, then vxm → damping → teleport assign → diff → |·| → Σ,
+/// with the teleport's index upload overlapping the vxm on the transfer
+/// stream.
 
-#include <cmath>
+#include <algorithm>
 
 #include "gbtl/gbtl.hpp"
 
@@ -22,16 +41,17 @@ struct PageRankResult {
 
 namespace detail {
 
-/// The full PageRank pipeline with a pluggable rank seed: normalization,
-/// then `init(rank, all)` at the exact point the cold solve assigned its
-/// uniform start, then the damped power iteration with teleport and
-/// dangling-mass redistribution until the L1 delta drops under tol.
-template <typename T, typename Tag, typename InitFn>
+/// The damped power iteration behind every entry point. The teleport and
+/// the dangling mass land uniformly on @p seeds (sorted, distinct), or on
+/// every vertex when @p seeds is null. @p warm keeps the incoming @p rank
+/// as the start; otherwise the start is uniform over the same set. Stops
+/// when the L1 delta drops under @p tol.
+template <typename T, typename Tag>
 PageRankResult pagerank_run(const grb::Matrix<T, Tag>& graph,
+                            const grb::IndexArrayType* seeds, bool warm,
                             grb::Vector<double, Tag>& rank, double damping,
                             double tol, grb::IndexType max_iterations,
-                            const grb::ExecutionPolicy& policy,
-                            InitFn&& init) {
+                            const grb::ExecutionPolicy& policy) {
   using grb::IndexType;
   const IndexType n = graph.nrows();
   if (graph.ncols() != n)
@@ -39,49 +59,52 @@ PageRankResult pagerank_run(const grb::Matrix<T, Tag>& graph,
   if (rank.size() != n)
     throw grb::DimensionException("pagerank: rank size mismatch");
 
-  // Row-stochastic transition matrix M = D^-1 A (pattern-valued).
-  grb::Matrix<double, Tag> pattern(n, n);
-  grb::apply(pattern, grb::NoMask{}, grb::NoAccumulate{},
-             [](const T&) { return 1.0; }, graph);
-  grb::Vector<double, Tag> out_degree(n);
-  grb::reduce(out_degree, grb::NoMask{}, grb::NoAccumulate{},
-              grb::PlusMonoid<double>{}, pattern);
-  grb::Vector<double, Tag> inv_degree(n);
-  grb::apply(inv_degree, grb::NoMask{}, grb::NoAccumulate{},
-             grb::MultiplicativeInverse<double>{}, out_degree);
-  grb::Matrix<double, Tag> M(n, n);
-  grb::mxm(M, grb::NoMask{}, grb::NoAccumulate{},
-           grb::ArithmeticSemiring<double>{}, grb::diag(inv_degree),
-           pattern);
-
   const grb::IndexArrayType all = grb::all_indices(n);
-  init(rank, all);
+  const grb::IndexArrayType& targets = seeds != nullptr ? *seeds : all;
+  const double share = 1.0 / static_cast<double>(targets.size());
 
-  // Dangling-vertex indicator (no out edges): their rank mass teleports.
-  grb::Vector<bool, Tag> dangling(n);
-  grb::assign(dangling, grb::complement(grb::structure(out_degree)),
-              grb::NoAccumulate{}, true, all);
+  // 1 / out-degree, where the out-degree counts stored entries whatever
+  // their values. Dangling vertices get no entry.
+  grb::Vector<double, Tag> ones(n), inv_degree(n);
+  grb::assign(ones, grb::NoMask{}, grb::NoAccumulate{}, 1.0, all);
+  grb::mxv(inv_degree, grb::NoMask{}, grb::NoAccumulate{},
+           grb::PlusSelect2ndSemiring<double>{}, graph, ones);
+  grb::apply(inv_degree, grb::NoMask{}, grb::NoAccumulate{},
+             grb::MultiplicativeInverse<double>{}, inv_degree);
+
+  if (!warm) {
+    rank.clear();
+    grb::assign(rank, grb::NoMask{}, grb::NoAccumulate{}, share, targets);
+  }
 
   PageRankResult result;
-  grb::Vector<double, Tag> next(n), diff(n), dangling_rank(n);
+  grb::Vector<double, Tag> scaled(n), next(n), diff(n), dangling_rank(n);
   for (IndexType it = 0; it < max_iterations; ++it) {
     policy.checkpoint("pagerank");
-    // next = damping * (rank . M)
-    grb::vxm(next, grb::NoMask{}, grb::NoAccumulate{},
-             grb::ArithmeticSemiring<double>{}, rank, M, grb::Replace);
-    grb::apply(next, grb::NoMask{}, grb::NoAccumulate{},
-               grb::BindSecond<double, grb::Times<double>>{damping}, next);
-
-    // Teleport + dangling mass, spread uniformly.
+    grb::eWiseMult(scaled, grb::NoMask{}, grb::NoAccumulate{},
+                   grb::Times<double>{}, rank, inv_degree, grb::Replace);
+    // Dangling vertices (no out-edges) have no inv_degree entry, so the
+    // ranked vertices missing from `scaled` are exactly the dangling ones.
+    // Masking by `scaled` also chains this op to the scaling above.
     double dangling_mass = 0.0;
-    grb::eWiseMult(dangling_rank, grb::structure(dangling),
+    grb::eWiseMult(dangling_rank, grb::complement(grb::structure(scaled)),
                    grb::NoAccumulate{}, grb::First<double>{}, rank, rank,
                    grb::Replace);
     grb::reduce(dangling_mass, grb::NoAccumulate{},
                 grb::PlusMonoid<double>{}, dangling_rank);
+    // The uniform teleport divides by n and the personalized one multiplies
+    // by its share; the two round differently, and each keeps its bits.
+    const double mass = 1.0 - damping + damping * dangling_mass;
     const double teleport =
-        (1.0 - damping + damping * dangling_mass) / static_cast<double>(n);
-    grb::assign(next, grb::NoMask{}, grb::Plus<double>{}, teleport, all);
+        seeds != nullptr ? mass * share : mass / static_cast<double>(n);
+
+    // next = damping * (scaled · graph) + teleport
+    grb::vxm(next, grb::NoMask{}, grb::NoAccumulate{},
+             grb::PlusSelect1stSemiring<double>{}, scaled, graph,
+             grb::Replace);
+    grb::apply(next, grb::NoMask{}, grb::NoAccumulate{},
+               grb::BindSecond<double, grb::Times<double>>{damping}, next);
+    grb::assign(next, grb::NoMask{}, grb::Plus<double>{}, teleport, targets);
 
     // delta = ||next - rank||_1
     grb::eWiseAdd(diff, grb::NoMask{}, grb::NoAccumulate{},
@@ -115,20 +138,15 @@ PageRankResult pagerank(const grb::Matrix<T, Tag>& graph,
                         double damping = 0.85, double tol = 1e-9,
                         grb::IndexType max_iterations = 100,
                         const grb::ExecutionPolicy& policy = {}) {
-  return detail::pagerank_run(
-      graph, rank, damping, tol, max_iterations, policy,
-      [](grb::Vector<double, Tag>& r, const grb::IndexArrayType& all) {
-        // Dense uniform start.
-        r.clear();
-        grb::assign(r, grb::NoMask{}, grb::NoAccumulate{},
-                    1.0 / static_cast<double>(all.size()), all);
-      });
+  return detail::pagerank_run(graph, nullptr, /*warm=*/false, rank, damping,
+                              tol, max_iterations, policy);
 }
 
 /// Personalized PageRank: teleport lands on the @p seeds set (uniformly)
 /// instead of all vertices — the local-ranking variant used for
 /// recommendation ("related users of X"). Dangling mass also returns to the
-/// seeds. Same convergence machinery as pagerank().
+/// seeds. A seed listed twice counts once. Same convergence machinery as
+/// pagerank().
 template <typename T, typename Tag>
 PageRankResult personalized_pagerank(const grb::Matrix<T, Tag>& graph,
                                      const grb::IndexArrayType& seeds,
@@ -137,71 +155,15 @@ PageRankResult personalized_pagerank(const grb::Matrix<T, Tag>& graph,
                                      double tol = 1e-9,
                                      grb::IndexType max_iterations = 100,
                                      const grb::ExecutionPolicy& policy = {}) {
-  using grb::IndexType;
-  const IndexType n = graph.nrows();
-  if (graph.ncols() != n)
-    throw grb::DimensionException("ppr: graph must be square");
-  if (rank.size() != n)
-    throw grb::DimensionException("ppr: rank size mismatch");
   if (seeds.empty()) throw grb::InvalidValueException("ppr: no seeds");
-  for (IndexType s : seeds)
-    if (s >= n) throw grb::IndexOutOfBoundsException("ppr: seed");
-
-  // Same normalization as pagerank().
-  grb::Matrix<double, Tag> pattern(n, n);
-  grb::apply(pattern, grb::NoMask{}, grb::NoAccumulate{},
-             [](const T&) { return 1.0; }, graph);
-  grb::Vector<double, Tag> out_degree(n);
-  grb::reduce(out_degree, grb::NoMask{}, grb::NoAccumulate{},
-              grb::PlusMonoid<double>{}, pattern);
-  grb::Vector<double, Tag> inv_degree(n);
-  grb::apply(inv_degree, grb::NoMask{}, grb::NoAccumulate{},
-             grb::MultiplicativeInverse<double>{}, out_degree);
-  grb::Matrix<double, Tag> M(n, n);
-  grb::mxm(M, grb::NoMask{}, grb::NoAccumulate{},
-           grb::ArithmeticSemiring<double>{}, grb::diag(inv_degree),
-           pattern);
-
-  grb::Vector<bool, Tag> dangling(n);
-  grb::assign(dangling, grb::complement(grb::structure(out_degree)),
-              grb::NoAccumulate{}, true, grb::all_indices(n));
-
-  const double seed_share = 1.0 / static_cast<double>(seeds.size());
-  rank.clear();
-  grb::assign(rank, grb::NoMask{}, grb::NoAccumulate{}, seed_share, seeds);
-
-  PageRankResult result;
-  grb::Vector<double, Tag> next(n), diff(n), dangling_rank(n);
-  for (IndexType it = 0; it < max_iterations; ++it) {
-    policy.checkpoint("personalized_pagerank");
-    grb::vxm(next, grb::NoMask{}, grb::NoAccumulate{},
-             grb::ArithmeticSemiring<double>{}, rank, M, grb::Replace);
-    grb::apply(next, grb::NoMask{}, grb::NoAccumulate{},
-               grb::BindSecond<double, grb::Times<double>>{damping}, next);
-
-    double dangling_mass = 0.0;
-    grb::eWiseMult(dangling_rank, grb::structure(dangling),
-                   grb::NoAccumulate{}, grb::First<double>{}, rank, rank,
-                   grb::Replace);
-    grb::reduce(dangling_mass, grb::NoAccumulate{},
-                grb::PlusMonoid<double>{}, dangling_rank);
-    const double teleport =
-        (1.0 - damping + damping * dangling_mass) * seed_share;
-    grb::assign(next, grb::NoMask{}, grb::Plus<double>{}, teleport, seeds);
-
-    grb::eWiseAdd(diff, grb::NoMask{}, grb::NoAccumulate{},
-                  grb::Minus<double>{}, next, rank, grb::Replace);
-    grb::apply(diff, grb::NoMask{}, grb::NoAccumulate{}, grb::Abs<double>{},
-               diff);
-    double delta = 0.0;
-    grb::reduce(delta, grb::NoAccumulate{}, grb::PlusMonoid<double>{}, diff);
-
-    rank = next;
-    result.iterations = it + 1;
-    result.final_delta = delta;
-    if (delta < tol) break;
-  }
-  return result;
+  for (grb::IndexType s : seeds)
+    if (s >= graph.nrows()) throw grb::IndexOutOfBoundsException("ppr: seed");
+  grb::IndexArrayType seed_set(seeds);
+  std::sort(seed_set.begin(), seed_set.end());
+  seed_set.erase(std::unique(seed_set.begin(), seed_set.end()),
+                 seed_set.end());
+  return detail::pagerank_run(graph, &seed_set, /*warm=*/false, rank, damping,
+                              tol, max_iterations, policy);
 }
 
 }  // namespace algorithms

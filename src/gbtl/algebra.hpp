@@ -342,6 +342,16 @@ using MaxSelect2ndSemiring = Semiring<MaxMonoid<T>, Second<T>>;
 template <typename T>
 using MinSelect1stSemiring = Semiring<MinMonoid<T>, First<T>>;
 
+/// (+, select1st): vxm sums the vector entry of every stored edge, whatever
+/// the edge's value — PageRank pushes pre-scaled ranks through the graph.
+template <typename T>
+using PlusSelect1stSemiring = Semiring<PlusMonoid<T>, First<T>>;
+
+/// (+, select2nd): mxv against a vector of ones counts each row's stored
+/// entries, whatever their values — the out-degree.
+template <typename T>
+using PlusSelect2ndSemiring = Semiring<PlusMonoid<T>, Second<T>>;
+
 /// (+, min): capacity-style aggregation (sum of bottlenecks).
 template <typename T>
 using PlusMinSemiring = Semiring<PlusMonoid<T>, Min<T>>;

@@ -4,12 +4,14 @@
 /// The simulated device: memory arena, launch engine, transfer engine, and
 /// simulated clock. Plays the role of the CUDA runtime + one device.
 ///
-/// Concurrency model: kernel launches are synchronous from the host's point
-/// of view (they execute functionally before returning) but the *simulated*
-/// clock advances by the modeled duration, so benches report device time the
-/// way `cudaEventElapsedTime` would. Streams serialize on the single
-/// simulated device clock — overlap of independent streams is conservatively
-/// not modeled (GBTL's backend uses a single stream anyway).
+/// Concurrency model: execution is functional and synchronous — every
+/// kernel and copy runs to completion on the host before its call returns —
+/// while the *simulated* clock advances by the modeled duration, so benches
+/// report device time the way `cudaEventElapsedTime` would. The cost model
+/// has several streams: kernels advance the compute stream, and async
+/// copies on a transfer stream overlap it (makespan_s(),
+/// DeviceStats::overlap_seconds_hidden). The overlap is modeled only; no
+/// check yet proves each modeled overlap causally legal under stream order.
 
 #include <cstddef>
 #include <cstring>
@@ -111,11 +113,11 @@ class Context {
   // --- Size-class memory pool (cudaMallocAsync / caching allocator) ------
   /// Allocate through the pool: the request is rounded up to a power-of-two
   /// size class (min kMinPoolClassBytes) and served from that class's
-  /// freelist when possible. Reuse is ordered with respect to kernel work
-  /// because the simulated device is single-stream and launches complete
-  /// before returning — a freed block can never be recycled under a kernel
-  /// still reading it, the guarantee stream-ordered allocators provide on
-  /// real hardware.
+  /// freelist when possible. Reuse is always safe for results: execution is
+  /// synchronous, so every kernel or copy that touched a freed block has
+  /// finished before the free returns. Whether the modeled timeline, where
+  /// an async copy may still be in flight, would allow the same reuse is
+  /// not checked yet.
   void* pool_alloc(std::size_t bytes);
   /// Return a pool allocation to its class freelist (the bytes stay
   /// allocated from the device heap, counted in pool_bytes_held).

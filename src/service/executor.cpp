@@ -195,10 +195,10 @@ void QueryExecutor::worker_main(std::size_t worker_index) {
 
     // Sharded routing: forced, or — under kAuto with a multi-context
     // placement — a whole-graph query whose CSR exceeds this worker's
-    // arena. Only the algorithms built purely from mxv/vxm + vector ops
-    // have a sharded path (pagerank/triangle-count delegate matrix-wide
-    // ops through a monolithic view, which is exactly what oversized
-    // graphs cannot build), so kAuto restricts to those.
+    // arena. Triangle counting delegates matrix-wide ops through a
+    // monolithic view, which is exactly what oversized graphs cannot
+    // build. PageRank uses only mxv/vxm and vector ops, so it could shard,
+    // but no workload needs it there yet; kAuto keeps it off this route.
     const bool shardable_kind =
         job->request.kind == QueryKind::kBfs ||
         job->request.kind == QueryKind::kSssp ||

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/bfs.hpp"
+#include "algorithms/pagerank.hpp"
 #include "algorithms/triangle_count.hpp"
 #include "gbtl/gbtl.hpp"
 #include "gpu_sim/context.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_matrix.hpp"
+#include "pagerank_reference.hpp"
 #include "sparse/bitmap.hpp"
+#include "sparse/fusion_plan.hpp"
 #include "sparse/spgemm_select.hpp"
 #include "sparse/spmv_select.hpp"
 
@@ -154,6 +157,47 @@ TEST(GpuCostShape, MaskedTriangleCountPaysOnlyForWedges) {
   EXPECT_EQ(d.h2d_transfers, 0u);
   EXPECT_EQ(d.d2h_transfers, 0u);
   EXPECT_GT(d.kernel_launches, 0u);
+}
+
+TEST(GpuCostShape, PageRankBuildsNoTransitionMatrix) {
+  // PageRank scales the rank vector by 1/out-degree and multiplies by the
+  // graph itself. Compared with the D⁻¹A formulation of
+  // pagerank_reference.hpp: no SpGEMM, no grb::diag round trip through the
+  // host, a transient below the graph's own device footprint, and no more
+  // launches paid.
+  gpu_sim::Context ctx;
+  gpu_sim::ScopedDevice bind(ctx);
+  sparse::FusionGuard fusion(sparse::FusionMode::Auto);
+  auto g = gbtl_graph::deduplicate(
+      gbtl_graph::remove_self_loops(gbtl_graph::rmat(10, 16, 13)));
+  const std::size_t before_graph = ctx.stats().bytes_in_use;
+  auto a = gbtl_graph::to_matrix<double, grb::GpuSim>(g);
+  const std::size_t graph_bytes = ctx.stats().bytes_in_use - before_graph;
+  grb::Vector<double, grb::GpuSim> rank(a.nrows());
+
+  // One call's counters, and its peak device bytes above those at entry.
+  auto measure = [&](const std::function<void()>& work) {
+    ctx.reset_stats();  // the peak restarts from the bytes in use
+    const std::size_t entry = ctx.stats().bytes_in_use;
+    work();
+    const auto d = ctx.stats();
+    return std::pair{d, d.peak_bytes_in_use - entry};
+  };
+  const auto [now, now_peak] = measure(
+      [&] { algorithms::pagerank(a, rank, 0.85, /*tol=*/0.0, 10); });
+  const auto [old, old_peak] = measure([&] {
+    transition_matrix_pagerank(a, nullptr, false, rank, 0.85, 0.0, 10);
+  });
+
+  EXPECT_EQ(now.spgemm_selections_total(), 0u);
+  EXPECT_EQ(now.d2h_transfers, 0u);
+  EXPECT_LT(now_peak, graph_bytes);
+  EXPECT_LE(now.kernel_launches - now.launches_elided,
+            old.kernel_launches - old.launches_elided);
+  // The D⁻¹A formulation pays each of these, so the checks above can fail.
+  EXPECT_GT(old.spgemm_selections_total(), 0u);
+  EXPECT_GT(old.d2h_transfers, 0u);
+  EXPECT_GT(old_peak, graph_bytes);
 }
 
 TEST(GpuCostShape, TransferPenaltyDominatesSmallWork) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <queue>
@@ -13,8 +14,14 @@
 #include <vector>
 
 #include "algorithms/algorithms.hpp"
+#include "algorithms/incremental.hpp"
+#include "backend_cpupar/pool.hpp"
+#include "gpu_sim/placement.hpp"
+#include "gpu_sim/thread_pool.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_matrix.hpp"
+#include "pagerank_reference.hpp"
+#include "sparse/shard_plan.hpp"
 #include "spgemm_pin.hpp"
 
 namespace {
@@ -400,5 +407,137 @@ TEST_P(Oracles, BetweennessMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Oracles, ::testing::Range(1u, 7u));
+
+// --- PageRank formulation pin ----------------------------------------------
+// PageRank multiplies (rank ⊙ 1/out-degree) by the graph itself instead of
+// rank by D⁻¹A. Every product and fold order is the same, so every entry
+// point must match the transition-matrix formulation bit for bit on every
+// backend (scripts/ci.sh also replays these with fusion off and forced).
+
+constexpr double kPinDamping = 0.85;
+constexpr double kPinTol = 1e-9;
+constexpr IndexType kPinMaxIterations = 100;
+
+/// A graph on which a wrong PageRank semiring shows: real-valued non-unit
+/// weights, explicitly stored zeros, every 9th vertex dangling, and
+/// vertex 1 whose only out-edge is a stored zero (out-degree 1).
+template <typename Tag>
+grb::Matrix<double, Tag> pin_graph(unsigned seed) {
+  constexpr IndexType n = 240;
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<IndexType> vertex(0, n - 1);
+  std::uniform_real_distribution<double> weight(0.1, 3.0);
+  std::bernoulli_distribution stored_zero(0.1);
+  grb::IndexArrayType rows{1}, cols{2};
+  std::vector<double> vals{0.0};
+  for (IndexType i = 2; i < n; ++i) {
+    if (i % 9 == 0) continue;
+    for (int e = 0; e < 6; ++e) {
+      rows.push_back(i);
+      cols.push_back(vertex(rng));
+      vals.push_back(stored_zero(rng) ? 0.0 : weight(rng));
+    }
+  }
+  grb::Matrix<double, Tag> a(n, n);
+  a.build(rows, cols, vals, grb::Plus<double>{});
+  return a;
+}
+
+template <typename Tag>
+void expect_same_bytes(const grb::Vector<double, Tag>& got,
+                       const grb::Vector<double, Tag>& want,
+                       const char* what) {
+  grb::IndexArrayType gi, wi;
+  std::vector<double> gv, wv;
+  got.extractTuples(gi, gv);
+  want.extractTuples(wi, wv);
+  ASSERT_EQ(gi, wi) << what;
+  ASSERT_EQ(gv.size(), wv.size()) << what;
+  EXPECT_EQ(std::memcmp(gv.data(), wv.data(), gv.size() * sizeof(double)), 0)
+      << what;
+}
+
+/// pagerank, pagerank_warm and personalized_pagerank against the
+/// transition-matrix formulation; then the seed list as a set.
+template <typename Tag>
+void expect_pagerank_pinned(unsigned seed) {
+  const auto a = pin_graph<Tag>(seed);
+  const IndexType n = a.nrows();
+  grb::Vector<double, Tag> want(n), got(n);
+
+  const IndexType iterations = transition_matrix_pagerank(
+      a, nullptr, false, want, kPinDamping, kPinTol, kPinMaxIterations);
+  const auto cold = algorithms::pagerank(a, got, kPinDamping, kPinTol,
+                                         kPinMaxIterations);
+  EXPECT_GT(iterations, 10u);
+  EXPECT_EQ(cold.iterations, iterations);
+  expect_same_bytes(got, want, "pagerank");
+
+  // Warm: both restart from one dense, non-uniform vector.
+  std::vector<double> start(n);
+  for (IndexType v = 0; v < n; ++v) start[v] = (1.0 + v % 7) / (4.0 * n);
+  want.clear();
+  got.clear();
+  want.build(grb::all_indices(n), start);
+  got.build(grb::all_indices(n), start);
+  transition_matrix_pagerank(a, nullptr, true, want, kPinDamping, kPinTol,
+                             kPinMaxIterations);
+  algorithms::pagerank_warm(a, got, kPinDamping, kPinTol, kPinMaxIterations);
+  expect_same_bytes(got, want, "pagerank_warm");
+
+  // Personalized, with a dangling seed; the reference takes the sorted set.
+  const grb::IndexArrayType set{3, 5, 17, 18};
+  transition_matrix_pagerank(a, &set, false, want, kPinDamping, kPinTol,
+                             kPinMaxIterations);
+  algorithms::personalized_pagerank(a, {17, 3, 18, 5}, got, kPinDamping,
+                                    kPinTol, kPinMaxIterations);
+  expect_same_bytes(got, want, "personalized_pagerank");
+
+  // A repeated seed counts once, and seed order does not matter.
+  auto ppr = [&](const grb::IndexArrayType& seeds) {
+    grb::Vector<double, Tag> rank(n);
+    algorithms::personalized_pagerank(a, seeds, rank);
+    return rank;
+  };
+  const auto repeated = ppr({3, 3});
+  expect_same_bytes(repeated, ppr({3}), "seeds {3, 3} vs {3}");
+  expect_same_bytes(ppr({5, 3}), ppr({3, 5}), "seeds {5, 3} vs {3, 5}");
+  double total = 0.0;
+  grb::reduce(total, grb::NoAccumulate{}, grb::PlusMonoid<double>{},
+              repeated);
+  EXPECT_NEAR(total, 1.0, 1e-12);
+}
+
+TEST(PageRankPin, Sequential) {
+  for (const unsigned seed : {11u, 12u})
+    expect_pagerank_pinned<grb::Sequential>(seed);
+}
+
+TEST(PageRankPin, CpuParAtOneAndFourWorkers) {
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    gpu_sim::ThreadPool pool(workers);
+    grb::cpupar_backend::ScopedPool bind(pool);
+    for (const unsigned seed : {11u, 12u})
+      expect_pagerank_pinned<grb::CpuPar>(seed);
+  }
+}
+
+TEST(PageRankPin, GpuSim) {
+  for (const unsigned seed : {11u, 12u})
+    expect_pagerank_pinned<grb::GpuSim>(seed);
+}
+
+TEST(PageRankPin, GpuShardAtTwoAndFourShards) {
+  gpu_sim::Context extra[3];
+  gpu_sim::ScopedPlacement placement(
+      {&gpu_sim::device(), &extra[0], &extra[1], &extra[2]});
+  for (const std::size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(shards);
+    sparse::ShardCountGuard pin(shards);
+    for (const unsigned seed : {11u, 12u})
+      expect_pagerank_pinned<grb::GpuShard>(seed);
+  }
+}
 
 }  // namespace
