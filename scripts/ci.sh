@@ -52,8 +52,20 @@ cmake -B "${SAN_BUILD_DIR}" -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
   >/dev/null
 cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" --target test_differential_fuzz \
-  --target test_matrix_mask_sweep --target test_oracles
+  --target test_matrix_mask_sweep --target test_oracles \
+  --target test_cpupar_determinism --target test_delta_overlay
 ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" -L fuzz
+
+echo "==> sanitizers: shared CPU op bodies and overlay validation"
+# CpuPar runs the Sequential op bodies under the pool policy, so every
+# op's chunk range arithmetic is shared code; the determinism suite drives
+# each borrowed op across several chunks. The overlay ops index their
+# buffers by the overlay's rows and columns unchecked once the frontend has
+# validated them, and test_delta_overlay feeds every malformed shape to all
+# three backends. An off-by-one in either place is a heap overflow here.
+for t in test_cpupar_determinism test_delta_overlay; do
+  "${SAN_BUILD_DIR}/tests/${t}" --gtest_brief=1
+done
 
 echo "==> sanitizers: masked-mxm and select sweeps"
 # The CPU backends' mask-seeded Gustavson indexes its flag and accumulator

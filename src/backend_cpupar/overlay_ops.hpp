@@ -1,18 +1,16 @@
 #pragma once
 
 /// @file backend_cpupar/overlay_ops.hpp
-/// CpuPar mxv/vxm over (base matrix, replacement-row overlay).
+/// CpuPar vxm over (base matrix, replacement-row overlay). (CpuPar's
+/// mxv_overlay is the Sequential body under PoolExec.)
 ///
-/// mxv stays row-parallel: each row folds either its overlay replacement or
-/// its base LIL row, in ascending column order — the Sequential fold.
-///
-/// vxm keeps the column-parallel pull, but each output column now merges
-/// two ascending-source streams: the base's cached CSC with dirty source
-/// rows masked out, and a per-call CSC of the overlay rows. A source row is
-/// in exactly one stream, and the merge visits sources in ascending order
-/// with a bare first product — the Sequential scatter's combination order —
-/// so results are bit-identical to a monolithic rebuild. The per-call
-/// overlay CSC costs O(ncols + overlay nnz): delta-sized, not graph-sized.
+/// vxm keeps the column-parallel pull, but each output column merges two
+/// ascending-source streams: the base's cached CSC with dirty source rows
+/// masked out, and a per-call CSC of the overlay rows. A source row is in
+/// exactly one stream, and the merge visits sources in ascending order with
+/// a bare first product — the Sequential scatter's combination order — so
+/// results are bit-identical to a monolithic rebuild. The per-call overlay
+/// CSC costs O(ncols + overlay nnz): delta-sized, not graph-sized.
 
 #include <cstdint>
 #include <vector>
@@ -20,7 +18,6 @@
 #include "backend_cpupar/ops.hpp"
 #include "gbtl/overlay.hpp"
 #include "gbtl/types.hpp"
-#include "gbtl/write_rules.hpp"
 #include "sparse/output_pipeline.hpp"
 
 namespace grb::cpupar_backend {
@@ -57,41 +54,6 @@ OverlayCsc<AT> overlay_csc(const MatrixOverlay<AT>& ov, IndexType ncols) {
 }
 
 }  // namespace detail
-
-template <typename WT, typename MObj, typename Accum, typename SR,
-          typename AT, typename UT>
-void mxv_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
-                 Accum accum, SR sr, const Matrix<AT>& A,
-                 const MatrixOverlay<AT>& ov, const Vector<UT>& u) {
-  using ZT = typename SR::result_type;
-  Vector<ZT> T(w.size());
-  parallel_ranges(A.nrows(), kVectorChunk,
-                  [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      ZT acc = sr.zero();
-      bool any = false;
-      const std::size_t slot = ov.find_row(i);
-      if (slot < ov.dirty_rows()) {
-        for (IndexType k = ov.offsets[slot]; k < ov.offsets[slot + 1]; ++k) {
-          const IndexType col = ov.cols[k];
-          if (u.present_unchecked(col)) {
-            acc = sr.add(acc, sr.mult(ov.vals[k], u.value_unchecked(col)));
-            any = true;
-          }
-        }
-      } else {
-        for (const auto& [k, av] : A.row(i)) {
-          if (u.present_unchecked(k)) {
-            acc = sr.add(acc, sr.mult(av, u.value_unchecked(k)));
-            any = true;
-          }
-        }
-      }
-      if (any) T.set_unchecked(i, acc);
-    }
-  });
-  pipeline::write_vector_par(w, T, out, accum);
-}
 
 template <typename WT, typename MObj, typename Accum, typename SR,
           typename UT, typename AT>
@@ -142,7 +104,7 @@ void vxm_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
       if (any) T.set_unchecked(j, acc);
     }
   });
-  pipeline::write_vector_par(w, T, out, accum);
+  pipeline::write_vector<PoolExec>(w, T, out, accum);
 }
 
 }  // namespace grb::cpupar_backend

@@ -2,24 +2,30 @@
 
 /// @file backend_cpupar/pool.hpp
 /// Execution context of the CpuPar backend: an ambient thread pool bound to
-/// the calling thread (mirroring gpu_sim::device()/ScopedDevice) plus the
-/// fixed-chunk parallel loop every CpuPar operation runs through.
+/// the calling thread (mirroring gpu_sim::device()/ScopedDevice), the
+/// fixed-chunk parallel loop, and the two execution policies the CPU op
+/// bodies are written against (SerialExec, PoolExec).
 ///
 /// Determinism contract (enforced by test_cpupar_determinism.cpp): a CpuPar
 /// operation produces bytes identical to the Sequential backend under ANY
 /// worker count. Two rules make that hold by construction:
 ///
-///  1. Work is only ever split across *independent outputs* (rows of a
-///     matrix, slots of a vector); the per-output reduction chain is the
-///     Sequential one, verbatim. No partial sums are ever merged across
-///     threads — floating-point addition is not associative, so a
-///     tree-reduction would already break bit-exactness.
+///  1. CpuPar runs the Sequential op bodies themselves
+///     (backend_sequential/ops.hpp), only under PoolExec instead of
+///     SerialExec. Every `Exec::ranges` loop in those bodies walks
+///     *independent outputs* (rows of a matrix, slots of a vector), so each
+///     output's reduction chain is the Sequential one by construction. No
+///     partial sums are ever merged across threads — floating-point addition
+///     is not associative, so a tree-reduction would already break
+///     bit-exactness. The two ops CpuPar writes itself, vxm and
+///     vxm_overlay, pull each output slot's contributions in the
+///     Sequential scatter's order.
 ///
 ///  2. Chunk boundaries are fixed multiples of kChunkAlign (a multiple of
 ///     64) regardless of worker count, so two chunks can never write into
 ///     the same word of a std::vector<bool>'s bit-packed storage (the
-///     frontend hands CpuPar Vector<bool> objects, e.g. PageRank's dangling
-///     indicator).
+///     frontend hands CpuPar Vector<bool> objects, e.g. MIS's candidate
+///     set).
 ///
 /// Unlike gpu_sim::device(), the *default* pool is thread-local rather than
 /// process-wide: gpu_sim::ThreadPool::parallel_for is not safe for
@@ -33,6 +39,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gpu_sim/thread_pool.hpp"
@@ -192,9 +199,26 @@ void parallel_ranges(std::size_t n, std::size_t chunk, Body&& body) {
   });
 }
 
-template <typename Body>
-void parallel_ranges(std::size_t n, Body&& body) {
-  parallel_ranges(n, kVectorChunk, std::forward<Body>(body));
-}
+// --------------------------------------------------------------------------
+// Execution policies of the CPU op bodies
+// --------------------------------------------------------------------------
+
+/// Runs an op body's loop over independent outputs as one inline range: the
+/// Sequential backend.
+struct SerialExec {
+  template <typename Body>
+  static void ranges(std::size_t n, std::size_t /*chunk*/, Body&& body) {
+    body(std::size_t{0}, n);
+  }
+};
+
+/// Runs the same loop in fixed chunks on the ambient pool: the CpuPar
+/// backend.
+struct PoolExec {
+  template <typename Body>
+  static void ranges(std::size_t n, std::size_t chunk, Body&& body) {
+    parallel_ranges(n, chunk, std::forward<Body>(body));
+  }
+};
 
 }  // namespace grb::cpupar_backend

@@ -8,9 +8,8 @@
 /// triangle counting. All kernels traffic in 64-bit words — the declared
 /// LaunchStats charge `8 · words` bytes per plane, and the gathers account
 /// post hoc for the words they actually touched (the CSR pull kernel's
-/// exact-accounting precedent). Host counterparts with identical word
-/// semantics live in backend_sequential/bit_ops.hpp and
-/// backend_cpupar/bit_ops.hpp.
+/// exact-accounting precedent). The CPU backends have no Bit path;
+/// tests/test_bitmap.cpp checks these kernels against the CSR engine.
 
 #include <cstdint>
 

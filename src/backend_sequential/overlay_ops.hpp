@@ -8,6 +8,10 @@
 /// untouched — per-row zero-seeded fold in ascending column order for mxv,
 /// ascending-source scatter with a bare first product for vxm — so results
 /// are bit-identical to the same op on a monolithically rebuilt matrix.
+///
+/// mxv_overlay takes an execution policy like the ops.hpp bodies, and
+/// CpuPar runs it under PoolExec. vxm_overlay's scatter cannot split by
+/// output; CpuPar has its own (backend_cpupar/overlay_ops.hpp).
 
 #include "backend_sequential/matrix.hpp"
 #include "backend_sequential/ops.hpp"
@@ -19,36 +23,39 @@
 
 namespace grb::seq_backend {
 
-template <typename WT, typename MObj, typename Accum, typename SR,
-          typename AT, typename UT>
+template <typename Exec = SerialExec, typename WT, typename MObj,
+          typename Accum, typename SR, typename AT, typename UT>
 void mxv_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                  Accum accum, SR sr, const Matrix<AT>& A,
                  const MatrixOverlay<AT>& ov, const Vector<UT>& u) {
   using ZT = typename SR::result_type;
   Vector<ZT> T(w.size());
-  for (IndexType i = 0; i < A.nrows(); ++i) {
-    ZT acc = sr.zero();
-    bool any = false;
-    const std::size_t slot = ov.find_row(i);
-    if (slot < ov.dirty_rows()) {
-      for (IndexType k = ov.offsets[slot]; k < ov.offsets[slot + 1]; ++k) {
-        const IndexType col = ov.cols[k];
-        if (u.present_unchecked(col)) {
-          acc = sr.add(acc, sr.mult(ov.vals[k], u.value_unchecked(col)));
-          any = true;
+  Exec::ranges(A.nrows(), kVectorChunk,
+               [&](std::size_t begin, std::size_t end) {
+    for (IndexType i = begin; i < end; ++i) {
+      ZT acc = sr.zero();
+      bool any = false;
+      const std::size_t slot = ov.find_row(i);
+      if (slot < ov.dirty_rows()) {
+        for (IndexType k = ov.offsets[slot]; k < ov.offsets[slot + 1]; ++k) {
+          const IndexType col = ov.cols[k];
+          if (u.present_unchecked(col)) {
+            acc = sr.add(acc, sr.mult(ov.vals[k], u.value_unchecked(col)));
+            any = true;
+          }
+        }
+      } else {
+        for (const auto& [k, av] : A.row(i)) {
+          if (u.present_unchecked(k)) {
+            acc = sr.add(acc, sr.mult(av, u.value_unchecked(k)));
+            any = true;
+          }
         }
       }
-    } else {
-      for (const auto& [k, av] : A.row(i)) {
-        if (u.present_unchecked(k)) {
-          acc = sr.add(acc, sr.mult(av, u.value_unchecked(k)));
-          any = true;
-        }
-      }
+      if (any) T.set_unchecked(i, acc);
     }
-    if (any) T.set_unchecked(i, acc);
-  }
-  pipeline::write_vector(w, T, out, accum);
+  });
+  pipeline::write_vector<Exec>(w, T, out, accum);
 }
 
 template <typename WT, typename MObj, typename Accum, typename SR,

@@ -36,8 +36,8 @@ struct backend_traits<Sequential> {
 };
 
 /// CpuPar shares the Sequential containers outright (they are written to be
-/// safe under CpuPar's distinct-slot parallel writes); only the op entry
-/// points differ.
+/// safe under CpuPar's distinct-slot parallel writes) and, but for vxm, the
+/// Sequential op bodies too: only the execution policy differs.
 template <>
 struct backend_traits<CpuPar> {
   template <typename T>
@@ -75,6 +75,15 @@ struct backend_ops;
   template <typename... Args>                              \
   static decltype(auto) op_name(Args&&... args) {          \
     return backend_ns::op_name(std::forward<Args>(args)...); \
+  }
+
+/// The Sequential body of op_name under the pool policy: how CpuPar runs
+/// every op whose loops split by output (backend_sequential/ops.hpp).
+#define GBTL_FORWARD_POOLED(op_name)                                    \
+  template <typename... Args>                                           \
+  static decltype(auto) op_name(Args&&... args) {                       \
+    return seq_backend::op_name<cpupar_backend::PoolExec>(              \
+        std::forward<Args>(args)...);                                   \
   }
 
 template <>
@@ -118,32 +127,36 @@ struct backend_ops<CpuPar> {
   static M transposed(const M& m) {
     return seq_backend::detail::transposed(m);
   }
-#define backend_ns cpupar_backend
-  GBTL_FORWARD_OP(mxm)
-  GBTL_FORWARD_OP(mxv)
-  GBTL_FORWARD_OP(vxm)
-  GBTL_FORWARD_OP(ewise_add_vec)
-  GBTL_FORWARD_OP(ewise_mult_vec)
-  GBTL_FORWARD_OP(ewise_add_mat)
-  GBTL_FORWARD_OP(ewise_mult_mat)
-  GBTL_FORWARD_OP(apply_vec)
-  GBTL_FORWARD_OP(apply_mat)
-  GBTL_FORWARD_OP(apply_indexed_vec)
-  GBTL_FORWARD_OP(apply_indexed_mat)
-  GBTL_FORWARD_OP(reduce_mat_to_vec)
+  GBTL_FORWARD_POOLED(mxm)
+  GBTL_FORWARD_POOLED(mxv)
+  GBTL_FORWARD_POOLED(ewise_add_vec)
+  GBTL_FORWARD_POOLED(ewise_mult_vec)
+  GBTL_FORWARD_POOLED(ewise_add_mat)
+  GBTL_FORWARD_POOLED(ewise_mult_mat)
+  GBTL_FORWARD_POOLED(apply_vec)
+  GBTL_FORWARD_POOLED(apply_mat)
+  GBTL_FORWARD_POOLED(apply_indexed_vec)
+  GBTL_FORWARD_POOLED(apply_indexed_mat)
+  GBTL_FORWARD_POOLED(reduce_mat_to_vec)
+  GBTL_FORWARD_POOLED(transpose_op)
+  GBTL_FORWARD_POOLED(extract_vec)
+  GBTL_FORWARD_POOLED(extract_mat)
+  GBTL_FORWARD_POOLED(extract_col)
+  GBTL_FORWARD_POOLED(assign_vec)
+  GBTL_FORWARD_POOLED(assign_vec_constant)
+  GBTL_FORWARD_POOLED(assign_mat)
+  GBTL_FORWARD_POOLED(assign_mat_constant)
+  GBTL_FORWARD_POOLED(kronecker)
+  GBTL_FORWARD_POOLED(select_mat)
+  GBTL_FORWARD_POOLED(select_vec)
+  // The scalar reductions are serial by contract and take no policy.
+#define backend_ns seq_backend
   GBTL_FORWARD_OP(reduce_vec_to_scalar)
   GBTL_FORWARD_OP(reduce_mat_to_scalar)
-  GBTL_FORWARD_OP(transpose_op)
-  GBTL_FORWARD_OP(extract_vec)
-  GBTL_FORWARD_OP(extract_mat)
-  GBTL_FORWARD_OP(extract_col)
-  GBTL_FORWARD_OP(assign_vec)
-  GBTL_FORWARD_OP(assign_vec_constant)
-  GBTL_FORWARD_OP(assign_mat)
-  GBTL_FORWARD_OP(assign_mat_constant)
-  GBTL_FORWARD_OP(kronecker)
-  GBTL_FORWARD_OP(select_mat)
-  GBTL_FORWARD_OP(select_vec)
+#undef backend_ns
+  // vxm's scatter cannot split by output: CpuPar pulls by column instead.
+#define backend_ns cpupar_backend
+  GBTL_FORWARD_OP(vxm)
 #undef backend_ns
 };
 
@@ -218,5 +231,6 @@ struct backend_ops<GpuShard> {
 };
 
 #undef GBTL_FORWARD_OP
+#undef GBTL_FORWARD_POOLED
 
 }  // namespace grb

@@ -15,7 +15,12 @@
 /// These are deliberately NOT in the backend_ops registry: GpuShard has no
 /// overlay kernels (a sharded graph compacts before upload instead), and
 /// the GpuSim implementations run eagerly outside the fusion DAG.
+///
+/// The backends index their buffers by the overlay's rows and columns
+/// unchecked, so both entry points validate the overlay against `A` before
+/// dispatch: O(overlay), over the arrays every call reads anyway.
 
+#include <string>
 #include <type_traits>
 
 #include "backend_cpupar/overlay_ops.hpp"
@@ -25,6 +30,52 @@
 #include "gbtl/overlay.hpp"
 
 namespace grb {
+
+namespace detail {
+
+/// Throws unless @p ov is a well-formed overlay of an nrows x ncols matrix:
+/// dirty rows strictly ascending and in range, offsets a non-decreasing
+/// 0..cols.size() walk with one entry per row plus one, one value per
+/// column, every column in range.
+template <typename AT>
+void check_overlay(const MatrixOverlay<AT>& ov, IndexType nrows,
+                   IndexType ncols, const char* op) {
+  const std::string name(op);
+  if (ov.offsets.size() != ov.rows.size() + 1)
+    throw InvalidValueException(name + ": overlay has " +
+                                std::to_string(ov.offsets.size()) +
+                                " offsets for " +
+                                std::to_string(ov.rows.size()) + " rows");
+  if (ov.vals.size() != ov.cols.size())
+    throw InvalidValueException(name + ": overlay has " +
+                                std::to_string(ov.vals.size()) +
+                                " values for " +
+                                std::to_string(ov.cols.size()) + " columns");
+  if (ov.offsets.front() != 0 || ov.offsets.back() != ov.cols.size())
+    throw InvalidValueException(name +
+                                ": overlay offsets must run from 0 to the "
+                                "column count");
+  for (std::size_t s = 0; s < ov.rows.size(); ++s) {
+    if (ov.rows[s] >= nrows)
+      throw IndexOutOfBoundsException(name + ": overlay row " +
+                                      std::to_string(ov.rows[s]) +
+                                      " >= A.nrows (" +
+                                      std::to_string(nrows) + ")");
+    if (s > 0 && ov.rows[s] <= ov.rows[s - 1])
+      throw InvalidValueException(name +
+                                  ": overlay rows must be strictly ascending");
+    if (ov.offsets[s + 1] < ov.offsets[s])
+      throw InvalidValueException(name +
+                                  ": overlay offsets must not decrease");
+  }
+  for (const IndexType c : ov.cols)
+    if (c >= ncols)
+      throw IndexOutOfBoundsException(name + ": overlay column " +
+                                      std::to_string(c) + " >= A.ncols (" +
+                                      std::to_string(ncols) + ")");
+}
+
+}  // namespace detail
 
 template <typename WT, typename Tag, typename MaskT, typename Accum,
           typename SR, typename AT, typename UT>
@@ -38,12 +89,14 @@ void mxv_overlay(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
                      "u.size != A.ncols", u.size(), A.ncols());
   detail::check_mask_size(detail::mask_size_ok(mask, w.size()), "mxv_overlay",
                           w.size());
+  detail::check_overlay(overlay, A.nrows(), A.ncols(), "mxv_overlay");
   if constexpr (std::is_same_v<Tag, Sequential>) {
     seq_backend::mxv_overlay(w.impl(), detail::lower_output(mask, outp),
                              accum, semiring, A.impl(), overlay, u.impl());
   } else if constexpr (std::is_same_v<Tag, CpuPar>) {
-    cpupar_backend::mxv_overlay(w.impl(), detail::lower_output(mask, outp),
-                                accum, semiring, A.impl(), overlay, u.impl());
+    seq_backend::mxv_overlay<cpupar_backend::PoolExec>(
+        w.impl(), detail::lower_output(mask, outp), accum, semiring, A.impl(),
+        overlay, u.impl());
   } else if constexpr (std::is_same_v<Tag, GpuSim>) {
     gpu_backend::mxv_overlay(w.impl(), detail::lower_output(mask, outp),
                              accum, semiring, A.impl(), overlay, u.impl());
@@ -65,6 +118,7 @@ void vxm_overlay(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
                      "u.size != A.nrows", u.size(), A.nrows());
   detail::check_mask_size(detail::mask_size_ok(mask, w.size()), "vxm_overlay",
                           w.size());
+  detail::check_overlay(overlay, A.nrows(), A.ncols(), "vxm_overlay");
   if constexpr (std::is_same_v<Tag, Sequential>) {
     seq_backend::vxm_overlay(w.impl(), detail::lower_output(mask, outp),
                              accum, semiring, u.impl(), A.impl(), overlay);

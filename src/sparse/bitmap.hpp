@@ -21,10 +21,9 @@
 /// and the footprint halves.
 ///
 /// Word kernels over these planes (AND/OR + popcount/ffs) live in
-/// backend_gpu/bit_ops.hpp (simulated device), backend_sequential/
-/// bit_ops.hpp and backend_cpupar/bit_ops.hpp (host counterparts); this
-/// header owns the formats, CSR conversions, the `GBTL_BIT_MODE` knob, and
-/// the cost model the selectors use to propose/ratify the Bit format.
+/// backend_gpu/bit_ops.hpp, the only backend that selects the Bit format;
+/// this header owns the formats, CSR conversions, the `GBTL_BIT_MODE` knob,
+/// and the cost model the selectors use to propose/ratify the Bit format.
 
 #include <algorithm>
 #include <cstdint>

@@ -2,18 +2,19 @@
 
 /// @file output_pipeline.hpp
 /// Backend epilogue executors for the masked-accumulate output pipeline.
-/// Both backends finish every operation here: the sequential backend with
-/// scalar merge loops, the gpu_sim backend with a fused scatter kernel
-/// (vectors) and a sorted-COO merge (matrices). All four executors resolve
-/// each position through grb::write_rules, so the Merge/Replace/accumulate
-/// semantics live in exactly one place.
+/// Every backend finishes every operation here: the host backends with
+/// scalar merge loops run under an execution policy (SerialExec for
+/// Sequential, PoolExec for CpuPar), the gpu_sim backends with a fused
+/// scatter kernel (vectors) and a sorted-COO merge (matrices). Every
+/// executor resolves each position through grb::write_rules, so the
+/// Merge/Replace/accumulate semantics live in exactly one place.
 ///
 /// The executors are templated over the container types (everything needed
 /// is the documented container API: present_unchecked/set_unchecked/... for
 /// sequential vectors, row/set_row for sequential matrices, values()/
 /// present()/context() for device vectors, CSR accessors +
 /// load_from_sorted_keys for device matrices), so this header depends on
-/// gpu_sim but on neither backend.
+/// gpu_sim and the CPU execution policies but on no backend.
 
 #include <cstdint>
 #include <type_traits>
@@ -63,12 +64,11 @@ bool mask_allows(const MaskDesc<MObj>& m, IndexType i) {
 }
 
 // ===========================================================================
-// Sequential epilogues: scalar loops over the stored entries
+// Host epilogues: scalar loops over the stored entries
 // ===========================================================================
 
 /// One merged output row: sorted merge of C's and T̃'s entry streams for row
-/// i, each position resolved through write_rules. The per-row unit shared by
-/// the serial epilogue and the CpuPar row-parallel one.
+/// i, each position resolved through write_rules.
 template <typename CMat, typename TMat, typename MObj, typename Accum>
 typename CMat::Row merge_matrix_row(const CMat& C, const TMat& T,
                                     const OutputDescriptor<MObj>& out,
@@ -115,31 +115,21 @@ typename CMat::Row merge_matrix_row(const CMat& C, const TMat& T,
   return merged;
 }
 
-/// Matrix epilogue: row-by-row merge through merge_matrix_row.
-template <typename CMat, typename TMat, typename MObj, typename Accum>
+/// Matrix epilogue: row-by-row merge through merge_matrix_row. Rows are
+/// independent and set_row touches only its own row's storage, so the result
+/// is the same under either execution policy.
+template <typename Exec = cpupar_backend::SerialExec, typename CMat,
+          typename TMat, typename MObj, typename Accum>
 void write_matrix(CMat& C, const TMat& T, const OutputDescriptor<MObj>& out,
                   Accum accum) {
-  for (IndexType i = 0; i < C.nrows(); ++i)
-    C.set_row(i, merge_matrix_row(C, T, out, accum, i));
+  Exec::ranges(C.nrows(), cpupar_backend::kVectorChunk,
+               [&](std::size_t begin, std::size_t end) {
+    for (IndexType i = begin; i < end; ++i)
+      C.set_row(i, merge_matrix_row(C, T, out, accum, i));
+  });
 }
 
-/// CpuPar matrix epilogue: the same per-row merge, rows distributed over the
-/// ambient cpupar_backend::pool(). Each row's merge chain is exactly the
-/// serial one, and set_row touches only that row's storage, so the result is
-/// bit-identical to write_matrix at any worker count.
-template <typename CMat, typename TMat, typename MObj, typename Accum>
-void write_matrix_par(CMat& C, const TMat& T,
-                      const OutputDescriptor<MObj>& out, Accum accum) {
-  cpupar_backend::parallel_ranges(
-      C.nrows(), cpupar_backend::kVectorChunk,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          C.set_row(i, merge_matrix_row(C, T, out, accum, i));
-      });
-}
-
-/// Resolve one vector slot in place. The per-slot unit shared by the serial
-/// epilogue and the CpuPar chunk-parallel one.
+/// Resolve one vector slot in place.
 template <typename WVec, typename TVec, typename MObj, typename Accum>
 void write_vector_slot(WVec& w, const TVec& T,
                        const OutputDescriptor<MObj>& out, Accum accum,
@@ -159,27 +149,18 @@ void write_vector_slot(WVec& w, const TVec& T,
     w.erase_unchecked(i);
 }
 
-/// Vector epilogue: one dense pass over the positions.
-template <typename WVec, typename TVec, typename MObj, typename Accum>
+/// Vector epilogue: one dense pass over the positions. w's ScalarType may be
+/// bool; PoolExec's 64-aligned chunks keep two chunks off one word of its bit
+/// storage.
+template <typename Exec = cpupar_backend::SerialExec, typename WVec,
+          typename TVec, typename MObj, typename Accum>
 void write_vector(WVec& w, const TVec& T, const OutputDescriptor<MObj>& out,
                   Accum accum) {
-  for (IndexType i = 0; i < w.size(); ++i)
-    write_vector_slot(w, T, out, accum, i);
-}
-
-/// CpuPar vector epilogue: the same per-slot resolution over 64-aligned
-/// fixed chunks (w's ScalarType may be bool — the alignment keeps chunks off
-/// each other's bit-storage words). Bit-identical to write_vector at any
-/// worker count.
-template <typename WVec, typename TVec, typename MObj, typename Accum>
-void write_vector_par(WVec& w, const TVec& T,
-                      const OutputDescriptor<MObj>& out, Accum accum) {
-  cpupar_backend::parallel_ranges(
-      w.size(), cpupar_backend::kVectorChunk,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-          write_vector_slot(w, T, out, accum, i);
-      });
+  Exec::ranges(w.size(), cpupar_backend::kVectorChunk,
+               [&](std::size_t begin, std::size_t end) {
+    for (IndexType i = begin; i < end; ++i)
+      write_vector_slot(w, T, out, accum, i);
+  });
 }
 
 // ===========================================================================

@@ -1,10 +1,9 @@
-/// Bit-format subsystem tests (sparse/bitmap.hpp + the three backends'
-/// bit_ops): CSR -> Bit -> CSR round-trip identity on random boolean
-/// matrices plus the ELL/HYB edge shapes (all-empty rows, one dense star
-/// row), BitVector popcount-cache invalidate-on-write, the selector's
-/// never-ratify-when-CSR-is-cheaper property, Sequential == CpuPar word
-/// kernels under several worker counts, and forced-Bit == forced-CSR for
-/// vxm/mxv (stored-false values included), BFS, and triangle counting on
+/// Bit-format subsystem tests (sparse/bitmap.hpp + backend_gpu/bit_ops.hpp):
+/// CSR -> Bit -> CSR round-trip identity on random boolean matrices plus the
+/// ELL/HYB edge shapes (all-empty rows, one dense star row), BitVector
+/// popcount-cache invalidate-on-write, the selector's
+/// never-ratify-when-CSR-is-cheaper property, and forced-Bit == forced-CSR
+/// for vxm/mxv (stored-false values included), BFS, and triangle counting on
 /// the GPU backend — with the DeviceStats bit counters moving exactly when
 /// the Bit engine is allowed to run.
 
@@ -17,9 +16,6 @@
 
 #include "algorithms/bfs.hpp"
 #include "algorithms/triangle_count.hpp"
-#include "backend_cpupar/bit_ops.hpp"
-#include "backend_cpupar/pool.hpp"
-#include "backend_sequential/bit_ops.hpp"
 #include "gbtl/gbtl.hpp"
 #include "gpu_sim/context.hpp"
 #include "graph/generators.hpp"
@@ -246,82 +242,6 @@ TEST(BitSelector, MxmAutoRequiresBothDensitiesAndAWin) {
   EXPECT_FALSE(sparse::select_bit_mxm(BitMode::Off, 10000, 4096, 4096 * 512,
                                       4096 * 512, 4096, 4096, true, 1.0,
                                       props));
-}
-
-// --------------------------------------------------------------------------
-// Sequential == CpuPar word kernels, any worker count
-// --------------------------------------------------------------------------
-
-TEST(BitKernelsCpuPar, MatchSequentialUnderAnyWorkerCount) {
-  std::mt19937 rng(31);
-  const Index n = 300;  // several 8-word stride blocks
-  const auto acsr = random_boolean_csr(n, n, 0.08, 0.7, rng);
-  const auto a = sparse::csr_to_bits(acsr);
-
-  BitVector upres(n), utruth(n);
-  for (Index i = 0; i < n; ++i)
-    if (rng() % 3 == 0) {
-      upres.set(i);
-      if (rng() % 4 != 0) utruth.set(i);
-    }
-  BitVector mask(n);
-  for (Index i = 0; i < n; ++i)
-    if (rng() % 2 == 0) mask.set(i);
-
-  // Sequential reference.
-  BitVector sp_mxv(n), st_mxv(n), sp_vxm(n), st_vxm(n), s_app(n);
-  grb::seq_backend::bit_mxv(a, upres, utruth, sp_mxv, st_mxv);
-  grb::seq_backend::bit_vxm(upres, utruth, a, sp_vxm, st_vxm);
-  grb::seq_backend::bit_masked_apply(sp_vxm, mask, /*complement=*/true,
-                                     s_app);
-  const auto bt = sparse::csr_to_bits(random_boolean_csr(n, n, 0.08, 1.0,
-                                                         rng));
-  const auto mcsr = random_boolean_csr(n, n, 0.1, 1.0, rng);
-  const auto m = sparse::csr_to_bits(mcsr);
-  const auto s_mxm =
-      grb::seq_backend::bit_masked_mxm_popcount<double>(a, bt, m);
-
-  for (const std::size_t workers : {1u, 3u, 8u}) {
-    gpu_sim::ThreadPool pool(workers);
-    grb::cpupar_backend::ScopedPool bind(pool);
-
-    BitVector pp_mxv(n), pt_mxv(n), pp_vxm(n), pt_vxm(n), p_app(n);
-    grb::cpupar_backend::bit_mxv(a, upres, utruth, pp_mxv, pt_mxv);
-    grb::cpupar_backend::bit_vxm(upres, utruth, a, pp_vxm, pt_vxm);
-    grb::cpupar_backend::bit_masked_apply(pp_vxm, mask, true, p_app);
-    const auto p_mxm =
-        grb::cpupar_backend::bit_masked_mxm_popcount<double>(a, bt, m);
-
-    for (Index w = 0; w < sp_mxv.word_count(); ++w) {
-      EXPECT_EQ(pp_mxv.words()[w], sp_mxv.words()[w]) << workers << " w" << w;
-      EXPECT_EQ(pt_mxv.words()[w], st_mxv.words()[w]) << workers << " w" << w;
-      EXPECT_EQ(pp_vxm.words()[w], sp_vxm.words()[w]) << workers << " w" << w;
-      EXPECT_EQ(pt_vxm.words()[w], st_vxm.words()[w]) << workers << " w" << w;
-      EXPECT_EQ(p_app.words()[w], s_app.words()[w]) << workers << " w" << w;
-    }
-    EXPECT_EQ(p_mxm.row_offsets, s_mxm.row_offsets) << workers;
-    EXPECT_EQ(p_mxm.col_indices, s_mxm.col_indices) << workers;
-    EXPECT_EQ(p_mxm.values, s_mxm.values) << workers;
-  }
-}
-
-TEST(BitKernelsSeq, TruthNeverEscapesStructure) {
-  std::mt19937 rng(41);
-  const Index n = 150;
-  const auto a =
-      sparse::csr_to_bits(random_boolean_csr(n, n, 0.1, 0.5, rng));
-  BitVector upres(n), utruth(n);
-  for (Index i = 0; i < n; ++i)
-    if (rng() % 2 == 0) {
-      upres.set(i);
-      if (rng() % 2 == 0) utruth.set(i);
-    }
-  BitVector op(n), ot(n);
-  grb::seq_backend::bit_mxv(a, upres, utruth, op, ot);
-  for (Index i = 0; i < n; ++i)
-    if (ot.test(i)) {
-      EXPECT_TRUE(op.test(i)) << "truth outside presence at " << i;
-    }
 }
 
 // --------------------------------------------------------------------------

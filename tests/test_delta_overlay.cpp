@@ -9,7 +9,8 @@
 /// rebuilt matrix, on all three monolithic backends (Sequential, CpuPar on
 /// a real 3-worker pool, GpuSim), across mask/accum/replace variants —
 /// integer-valued weights make floating sums exact, so "bit-for-bit" is a
-/// valid demand (see test_differential_fuzz.cpp).
+/// valid demand (see test_differential_fuzz.cpp) — and every malformed
+/// overlay shape must be rejected on all three before it is read.
 
 #include <gtest/gtest.h>
 
@@ -607,6 +608,112 @@ TEST_P(OverlayOpsFuzz, MxvVxmMatchMonolithicRebuild) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Overlay-aware ops: a malformed overlay is rejected before dispatch
+// ---------------------------------------------------------------------------
+
+/// One way to break an overlay of a kPath x kPath matrix.
+struct MalformedOverlay {
+  const char* what;
+  bool out_of_bounds;  // IndexOutOfBoundsException, else InvalidValueException
+  grb::MatrixOverlay<double> ov;
+};
+
+constexpr IndexType kPath = 70;
+
+std::vector<MalformedOverlay> malformed_overlays() {
+  // Well formed: rows 5 and 40 replaced, three entries.
+  grb::MatrixOverlay<double> good;
+  good.rows = {5, 40};
+  good.offsets = {0, 2, 3};
+  good.cols = {4, 6, 39};
+  good.vals = {1.5, 2.5, 3.5};
+
+  std::vector<MalformedOverlay> bad;
+  auto add = [&](const char* what, bool oob, auto&& edit) {
+    MalformedOverlay m{what, oob, good};
+    edit(m.ov);
+    bad.push_back(std::move(m));
+  };
+  add("row past A.nrows", true, [](auto& ov) { ov.rows = {5, kPath}; });
+  add("rows descending", false, [](auto& ov) { ov.rows = {40, 5}; });
+  add("row repeated", false, [](auto& ov) { ov.rows = {5, 5}; });
+  add("one offset short", false, [](auto& ov) { ov.offsets = {0, 3}; });
+  add("offsets not from 0", false, [](auto& ov) { ov.offsets = {1, 2, 3}; });
+  add("offsets not to cols.size", false,
+      [](auto& ov) { ov.offsets = {0, 2, 2}; });
+  add("offsets decreasing", false, [](auto& ov) { ov.offsets = {0, 4, 3}; });
+  add("one value short", false, [](auto& ov) { ov.vals.pop_back(); });
+  add("column past A.ncols", true, [](auto& ov) { ov.cols[1] = kPath; });
+  return bad;
+}
+
+/// Runs @p op, which must throw the exception @p m names with a message
+/// naming @p op_name.
+template <typename Fn>
+void expect_rejected(const MalformedOverlay& m, const char* who,
+                     const char* op_name, Fn&& op) {
+  const std::string where =
+      std::string(who) + " " + op_name + ", " + m.what + ": ";
+  try {
+    op();
+    ADD_FAILURE() << where << "did not throw";
+  } catch (const grb::IndexOutOfBoundsException& e) {
+    EXPECT_TRUE(m.out_of_bounds) << where << e.what();
+    EXPECT_NE(std::string(e.what()).find(op_name), std::string::npos)
+        << where << e.what();
+  } catch (const grb::InvalidValueException& e) {
+    EXPECT_FALSE(m.out_of_bounds) << where << e.what();
+    EXPECT_NE(std::string(e.what()).find(op_name), std::string::npos)
+        << where << e.what();
+  }
+}
+
+/// Every malformed shape throws on Sequential, CpuPar and GpuSim, for both
+/// overlay ops, before any backend reads the overlay — so w is unchanged.
+TEST(OverlayOpsValidation, MalformedOverlayThrowsAndLeavesOutputUnchanged) {
+  gpu_sim::ThreadPool pool(3);
+  grb::cpupar_backend::ScopedPool bind(pool);
+
+  auto check_backend = [&](auto tag, const char* who) {
+    using Tag = decltype(tag);
+    // The path 0 -> 1 -> ... -> kPath-1.
+    IndexArrayType src, dst;
+    std::vector<double> ones;
+    for (IndexType i = 0; i + 1 < kPath; ++i) {
+      src.push_back(i);
+      dst.push_back(i + 1);
+      ones.push_back(1.0);
+    }
+    grb::Matrix<double, Tag> a(kPath, kPath);
+    a.build(src, dst, ones);
+    grb::Vector<double, Tag> u(kPath);
+    for (IndexType i = 0; i < kPath; i += 2) u.setElement(i, 0.5 + i);
+    grb::Vector<double, Tag> w(kPath);
+    for (IndexType i = 1; i < kPath; i += 3) w.setElement(i, 2.0 * i);
+    IndexArrayType want_idx, got_idx;
+    std::vector<double> want_vals, got_vals;
+    w.extractTuples(want_idx, want_vals);
+
+    for (const auto& m : malformed_overlays()) {
+      expect_rejected(m, who, "mxv_overlay", [&] {
+        grb::mxv_overlay(w, grb::NoMask{}, grb::Plus<double>{},
+                         grb::ArithmeticSemiring<double>{}, a, m.ov, u);
+      });
+      expect_rejected(m, who, "vxm_overlay", [&] {
+        grb::vxm_overlay(w, grb::NoMask{}, grb::Plus<double>{},
+                         grb::ArithmeticSemiring<double>{}, u, a, m.ov);
+      });
+      w.extractTuples(got_idx, got_vals);
+      EXPECT_EQ(got_idx, want_idx) << who << ", " << m.what;
+      EXPECT_EQ(got_vals, want_vals) << who << ", " << m.what;
+    }
+  };
+  check_backend(grb::Sequential{}, "seq");
+  check_backend(grb::CpuPar{}, "cpupar");
+  check_backend(grb::GpuSim{}, "gpu");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaOverlayFuzz, ::testing::Range(0u, 8u));
