@@ -53,8 +53,18 @@ cmake -B "${SAN_BUILD_DIR}" -S . \
   >/dev/null
 cmake --build "${SAN_BUILD_DIR}" -j "${JOBS}" --target test_differential_fuzz \
   --target test_matrix_mask_sweep --target test_oracles \
-  --target test_cpupar_determinism --target test_delta_overlay
+  --target test_cpupar_determinism --target test_delta_overlay \
+  --target test_sharding
 ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" -L fuzz
+
+echo "==> sanitizers: GpuShard delegated matrix ops"
+# GpuShard runs its matrix ops (mxm, eWise, apply, transpose, extract,
+# assign, kronecker, select) by handing mutable_home() to the GpuSim body
+# under a ScopedDevice for the home context, then re-syncing the host CSR.
+# test_sharding runs each of them at 1, 2 and 4 shards and multiplies every
+# result through the sharded mxv: a dangling home view fires here, and a
+# stale shard slice fails the memcmp against Sequential.
+"${SAN_BUILD_DIR}/tests/test_sharding" --gtest_brief=1
 
 echo "==> sanitizers: shared CPU op bodies and overlay validation"
 # CpuPar runs the Sequential op bodies under the pool policy, so every

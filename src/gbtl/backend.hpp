@@ -2,12 +2,11 @@
 
 /// @file backend.hpp
 /// Backend selection: maps a backend tag (grb::Sequential / grb::CpuPar /
-/// grb::GpuSim) to its container types and operation entry points. GBTL 1.0
-/// chose the backend by include-path substitution at configure time; this
-/// repo uses a tag template parameter instead so all backends coexist in one
-/// binary — the equivalence tests and the CPU-vs-GPU benches depend on that.
-/// Runtime discovery (names, buffer hooks, op-table inventory) lives in
-/// gbtl/backend_registry.hpp on top of these compile-time seams.
+/// grb::GpuSim / grb::GpuShard) to its name, container types and operation
+/// entry points. GBTL 1.0 chose the backend by include-path substitution at
+/// configure time; this repo uses a tag template parameter instead so all
+/// backends coexist in one binary — the equivalence tests and the
+/// CPU-vs-GPU benches depend on that. A tag without traits does not compile.
 
 #include <utility>
 
@@ -24,11 +23,15 @@
 
 namespace grb {
 
+/// Per tag: `name`, the backend's one spelled-out name (the service stamps
+/// it on every QueryResult, and per-route metrics are keyed on it), and the
+/// matrix/vector container types.
 template <typename Tag>
 struct backend_traits;
 
 template <>
 struct backend_traits<Sequential> {
+  static constexpr const char* name = "sequential";
   template <typename T>
   using matrix_type = seq_backend::Matrix<T>;
   template <typename T>
@@ -40,6 +43,7 @@ struct backend_traits<Sequential> {
 /// Sequential op bodies too: only the execution policy differs.
 template <>
 struct backend_traits<CpuPar> {
+  static constexpr const char* name = "cpupar";
   template <typename T>
   using matrix_type = seq_backend::Matrix<T>;
   template <typename T>
@@ -48,6 +52,7 @@ struct backend_traits<CpuPar> {
 
 template <>
 struct backend_traits<GpuSim> {
+  static constexpr const char* name = "gpusim";
   template <typename T>
   using matrix_type = gpu_backend::Matrix<T>;
   template <typename T>
@@ -59,6 +64,7 @@ struct backend_traits<GpuSim> {
 /// container is the plain GpuSim one.
 template <>
 struct backend_traits<GpuShard> {
+  static constexpr const char* name = "gpushard";
   template <typename T>
   using matrix_type = gpu_backend::ShardedMatrix<T>;
   template <typename T>

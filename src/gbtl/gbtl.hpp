@@ -9,7 +9,6 @@
 ///            grb::LogicalSemiring<bool>{}, frontier, A, grb::Replace);
 
 #include "gbtl/algebra.hpp"
-#include "gbtl/backend_registry.hpp"
 #include "gbtl/execution_policy.hpp"
 #include "gbtl/matrix.hpp"
 #include "gbtl/operations.hpp"

@@ -12,9 +12,9 @@
 /// accumulator — the property tests and the differential-fuzz Overlay leg
 /// enforce this across Sequential, CpuPar, and GpuSim.
 ///
-/// These are deliberately NOT in the backend_ops registry: GpuShard has no
-/// overlay kernels (a sharded graph compacts before upload instead), and
-/// the GpuSim implementations run eagerly outside the fusion DAG.
+/// These are deliberately NOT in backend_ops: GpuShard has no overlay
+/// kernels (a sharded graph compacts before upload instead), and the GpuSim
+/// implementations run eagerly outside the fusion DAG.
 ///
 /// The backends index their buffers by the overlay's rows and columns
 /// unchecked, so both entry points validate the overlay against `A` before

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "algorithms/bfs.hpp"
-#include "gbtl/backend_registry.hpp"
 #include "algorithms/connected_components.hpp"
 #include "algorithms/incremental.hpp"
 #include "algorithms/pagerank.hpp"
@@ -24,6 +23,29 @@
 
 namespace service {
 
+/// Run @p body, which fills a QueryResult's payload on backend @p Tag.
+/// Never throws: a cancelled or failed body comes back as a kCancelled /
+/// kFailed status with its partial payload dropped. Every result, those
+/// included, carries backend_traits<Tag>::name.
+template <typename Tag, typename Body>
+QueryResult run_on(Body&& body) {
+  QueryResult res;
+  try {
+    body(res);
+    res.status = QueryStatus::kOk;
+  } catch (const grb::CancelledException& e) {
+    res = QueryResult{};
+    res.status = QueryStatus::kCancelled;
+    res.error = e.what();
+  } catch (const std::exception& e) {
+    res = QueryResult{};
+    res.status = QueryStatus::kFailed;
+    res.error = e.what();
+  }
+  res.backend = grb::backend_traits<Tag>::name;
+  return res;
+}
+
 /// Run @p req against an already-resident @p graph under @p policy.
 /// Never throws: cancellation and algorithm failures come back as statuses.
 /// Fills payload + status only — latency/worker are the caller's fields.
@@ -31,8 +53,7 @@ template <typename Tag>
 QueryResult run_query_on(const grb::Matrix<double, Tag>& graph,
                          const QueryRequest& req,
                          const grb::ExecutionPolicy& policy) {
-  QueryResult res;
-  try {
+  return run_on<Tag>([&](QueryResult& res) {
     switch (req.kind) {
       case QueryKind::kBfs: {
         grb::Vector<grb::IndexType, Tag> levels(graph.nrows());
@@ -66,20 +87,7 @@ QueryResult run_query_on(const grb::Matrix<double, Tag>& graph,
       case QueryKind::kCount:
         throw grb::InvalidValueException("run_query_on: bad QueryKind");
     }
-    res.status = QueryStatus::kOk;
-  } catch (const grb::CancelledException& e) {
-    res = QueryResult{};  // drop any partial payload
-    res.status = QueryStatus::kCancelled;
-    res.error = e.what();
-  } catch (const std::exception& e) {
-    res = QueryResult{};
-    res.status = QueryStatus::kFailed;
-    res.error = e.what();
-  }
-  // Tag the result with the backend's registry name — set after the
-  // catch blocks so failed/cancelled results carry it too.
-  res.backend = grb::backend::backend_name<Tag>();
-  return res;
+  });
 }
 
 /// Can @p req warm-start on @p snap from @p prev? The snapshot must be the
@@ -121,8 +129,7 @@ QueryResult run_incremental_cc(const grb::Matrix<double, Tag>& base_matrix,
                                const GraphSnapshot& snap,
                                const CachedQueryResult& prev,
                                const grb::ExecutionPolicy& policy) {
-  QueryResult res;
-  try {
+  return run_on<Tag>([&](QueryResult& res) {
     grb::Vector<grb::IndexType, Tag> labels(base_matrix.nrows());
     labels.build(prev.indices, prev.ivals);
     const gbtl_graph::DeltaOverlay empty;
@@ -130,19 +137,8 @@ QueryResult run_incremental_cc(const grb::Matrix<double, Tag>& base_matrix,
         base_matrix, snap.overlay ? *snap.overlay : empty, snap.affected,
         labels, policy);
     labels.extractTuples(res.indices, res.ivals);
-    res.status = QueryStatus::kOk;
     res.warm_start = true;
-  } catch (const grb::CancelledException& e) {
-    res = QueryResult{};
-    res.status = QueryStatus::kCancelled;
-    res.error = e.what();
-  } catch (const std::exception& e) {
-    res = QueryResult{};
-    res.status = QueryStatus::kFailed;
-    res.error = e.what();
-  }
-  res.backend = grb::backend::backend_name<Tag>();
-  return res;
+  });
 }
 
 /// Warm-started PageRank: restart the power iteration from the previous
@@ -156,26 +152,14 @@ QueryResult run_warm_pagerank(const grb::Matrix<double, Tag>& graph,
                               const CachedQueryResult& prev,
                               const QueryRequest& req,
                               const grb::ExecutionPolicy& policy) {
-  QueryResult res;
-  try {
+  return run_on<Tag>([&](QueryResult& res) {
     grb::Vector<double, Tag> rank(graph.nrows());
     rank.build(prev.indices, prev.dvals);
     algorithms::pagerank_warm(graph, rank, req.damping, req.tol,
                               req.max_iterations, policy);
     rank.extractTuples(res.indices, res.dvals);
-    res.status = QueryStatus::kOk;
     res.warm_start = true;
-  } catch (const grb::CancelledException& e) {
-    res = QueryResult{};
-    res.status = QueryStatus::kCancelled;
-    res.error = e.what();
-  } catch (const std::exception& e) {
-    res = QueryResult{};
-    res.status = QueryStatus::kFailed;
-    res.error = e.what();
-  }
-  res.backend = grb::backend::backend_name<Tag>();
-  return res;
+  });
 }
 
 /// Package a kOk result for the ResultCache.

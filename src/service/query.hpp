@@ -113,9 +113,10 @@ struct QueryResult {
   /// True when the result came from an incremental warm start rather than
   /// a cold solve.
   bool warm_start = false;
-  /// Registry name of the backend that ran the query ("sequential",
-  /// "cpupar", "gpusim"); empty when the query never reached a backend
-  /// (shed, or cancelled while queued).
+  /// Name of the backend that ran the query: "sequential", "cpupar",
+  /// "gpusim" or "gpushard" (backend_traits<Tag>::name), or "result-cache"
+  /// when the executor served it from the cache; empty when the query never
+  /// reached a backend (shed, or cancelled while queued).
   std::string backend;
 };
 

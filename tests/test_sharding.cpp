@@ -3,9 +3,11 @@
 /// single-shard passthrough equivalence with the monolithic GpuSim backend,
 /// multi-shard mxv/vxm bit-exactness against the Sequential oracle (real
 /// non-integer doubles — any re-association of the fold order fails the
-/// memcmp), the halo-exchange DeviceStats counters, and the headline
-/// capability: serving a graph whose CSR exceeds a single context's arena
-/// by spreading it over several contexts.
+/// memcmp), bit-exactness of every matrix op GpuShard delegates to the
+/// single-device pipelines against the same oracle, the halo-exchange
+/// DeviceStats counters, and the headline capability: serving a graph whose
+/// CSR exceeds a single context's arena by spreading it over several
+/// contexts.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,8 @@
 #include <cstring>
 #include <optional>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/bfs.hpp"
@@ -285,6 +289,154 @@ TEST_F(ShardedOps, MultiShardMxvVxmBitExactVsSequential) {
     grb::vxm(w_sh, m_sh, grb::NoAccumulate{},
              grb::ArithmeticSemiring<double>{}, u_sh, sh, grb::Replace);
     expect_vectors_bit_exact(w_sh, w_seq, "n-shard masked vxm");
+  }
+}
+
+// --------------------------------------------------------------------------
+// Delegated tier: every matrix op GpuShard runs through its home view
+// --------------------------------------------------------------------------
+
+/// Host image of one result: row-major tuples (`c` stays empty for vectors
+/// and scalars).
+struct Snapshot {
+  std::string what;
+  IndexArrayType r, c;
+  std::vector<double> v;
+};
+
+/// Runs every matrix op GpuShard delegates to its home view on backend Tag
+/// and records each result. The calls mix matrix masks (plain, complement,
+/// structure; the mask stores some zeros), a Plus accumulator, Replace and
+/// an aliased mxm. Every matrix result is n columns wide and is multiplied
+/// into u as well: on GpuShard that mxv reads the row-block shards, so a
+/// delegated write that left a shard slice stale shows up there.
+template <typename Tag>
+std::vector<Snapshot> run_delegated_ops() {
+  using Mat = grb::Matrix<double, Tag>;
+  using Vec = grb::Vector<double, Tag>;
+  constexpr IndexType n = 24;
+  Coo mask = random_coo(n, n, 0.3, 47);
+  for (std::size_t k = 0; k < mask.v.size(); k += 3) mask.v[k] = 0.0;
+  const auto A = to_backend<Tag>(random_coo(n, n, 0.2, 41));
+  const auto B = to_backend<Tag>(random_coo(n, n, 0.2, 43));
+  const auto M = to_backend<Tag>(mask);
+  const auto S = to_backend<Tag>(random_coo(6, 6, 0.5, 67));
+  const auto KA = to_backend<Tag>(random_coo(4, 4, 0.4, 59));  // KA (x) KB
+  const auto KB = to_backend<Tag>(random_coo(6, 6, 0.3, 61));  // is n x n
+  const auto u = sparse_vector<Tag>(n, 0.5, 53);
+  const IndexArrayType rows6{1, 5, 9, 14, 20, 23}, cols6{22, 0, 7, 3, 18, 11};
+  IndexArrayType perm, rot;  // n-long permutations
+  for (IndexType i = 0; i < n; ++i) {
+    perm.push_back(n - 1 - i);
+    rot.push_back((5 * i + 3) % n);
+  }
+  const grb::ArithmeticSemiring<double> sr;
+  const grb::Plus<double> plus;
+  const grb::Times<double> times;
+  const grb::NoMask none;
+  const grb::NoAccumulate no_acc;
+
+  std::vector<Snapshot> out;
+  auto record_vec = [&](std::string what, const Vec& w) {
+    out.push_back({std::move(what), {}, {}, {}});
+    w.extractTuples(out.back().r, out.back().v);
+  };
+  auto record = [&](const std::string& what, const Mat& C) {
+    out.push_back({what, {}, {}, {}});
+    C.extractTuples(out.back().r, out.back().c, out.back().v);
+    Vec w(C.nrows());
+    grb::mxv(w, none, no_acc, sr, C, u);
+    record_vec(what + ", then mxv", w);
+  };
+
+  Mat C(n, n);
+  grb::mxm(C, none, no_acc, sr, A, B);
+  record("mxm", C);
+  grb::mxm(C, grb::complement(M), plus, sr, A, grb::transpose(B),
+           grb::Replace);
+  record("mxm <!M> accum replace, B'", C);
+  grb::mxm(C, none, no_acc, sr, C, C);
+  record("mxm aliased C = C C", C);
+
+  Mat E(n, n);
+  grb::eWiseAdd(E, M, no_acc, plus, A, B);
+  record("eWiseAdd <M>", E);
+  grb::eWiseMult(E, grb::structure(M), plus, times, A, B);
+  record("eWiseMult <s(M)> accum", E);
+
+  Mat P(n, n);
+  grb::apply(P, none, no_acc, grb::AdditiveInverse<double>{}, A);
+  record("apply", P);
+  grb::applyIndexed(
+      P, grb::complement(grb::structure(M)), plus,
+      [](IndexType i, IndexType j, double v) {
+        return 0.75 * v + 0.125 * static_cast<double>(i) -
+               0.0625 * static_cast<double>(j);
+      },
+      B, grb::Replace);
+  record("applyIndexed <!s(M)> accum replace", P);
+
+  Mat T(n, n);
+  grb::transpose(T, M, plus, A);
+  record("transpose <M> accum", T);
+
+  Mat X(n, n);
+  grb::extract(X, none, no_acc, A, perm, rot);
+  record("extract", X);
+
+  Mat D = B;
+  grb::assign(D, grb::complement(M), plus, S, rows6, cols6);
+  record("assign <!M> accum", D);
+  grb::assign(D, grb::structure(M), no_acc, 0.375, cols6, rows6,
+              grb::Replace);
+  record("assign constant <s(M)> replace", D);
+
+  Mat K(n, n);
+  grb::kronecker(K, M, plus, times, KA, KB);
+  record("kronecker <M> accum", K);
+
+  Mat L(n, n);
+  grb::select(
+      L, none, no_acc,
+      [](IndexType i, IndexType j, double v) { return i >= j && v > -0.5; },
+      A);
+  record("select", L);
+
+  Vec r(n);
+  grb::reduce(r, none, no_acc, grb::PlusMonoid<double>{}, grb::transpose(A));
+  record_vec("reduce A' to vector", r);
+  double total = 0.5;
+  grb::reduce(total, plus, grb::PlusMonoid<double>{}, A);
+  out.push_back({"reduce A to scalar", {}, {}, {total}});
+  Vec col(n);
+  grb::extract(col, none, no_acc, A, perm, IndexType{5});
+  record_vec("extract column", col);
+  return out;
+}
+
+TEST_F(ShardedOps, DelegatedMatrixOpsBitExactVsSequential) {
+  const auto want = run_delegated_ops<grb::Sequential>();
+  for (const auto& w : want)
+    EXPECT_FALSE(w.v.empty()) << w.what << ": the oracle result is empty";
+
+  for (std::size_t count : {1u, 2u, 4u}) {
+    sparse::ShardCountGuard pin(count);
+    const auto got = run_delegated_ops<grb::GpuShard>();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      SCOPED_TRACE(testing::Message()
+                   << count << " shards: " << want[k].what);
+      EXPECT_EQ(got[k].what, want[k].what);
+      EXPECT_EQ(got[k].r, want[k].r) << "structure differs";
+      EXPECT_EQ(got[k].c, want[k].c) << "structure differs";
+      ASSERT_EQ(got[k].v.size(), want[k].v.size());
+      if (!want[k].v.empty()) {
+        EXPECT_EQ(std::memcmp(got[k].v.data(), want[k].v.data(),
+                              want[k].v.size() * sizeof(double)),
+                  0)
+            << "values not bit-exact";
+      }
+    }
   }
 }
 
