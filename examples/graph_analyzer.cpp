@@ -15,9 +15,13 @@
 ///   graph_analyzer rmat:10:16 bfs --backend=gpu --source=0
 ///   graph_analyzer road.mtx sssp --source=17
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,25 +34,41 @@
 
 namespace {
 
-gbtl_graph::EdgeList load_graph(const std::string& spec) {
+/// Reads the unsigned decimal number at the start of @p text into @p v.
+/// Returns the first character after it, or nullptr when @p text does not
+/// start with a digit.
+const char* read_number(const char* text, unsigned long long& v) {
+  if (!std::isdigit(static_cast<unsigned char>(*text))) return nullptr;
+  char* end = nullptr;
+  v = std::strtoull(text, &end, 10);
+  return end;
+}
+
+/// The graph @p spec names, or nullopt when a generator spec is not exactly
+/// <kind>:<number>:<number>.
+std::optional<gbtl_graph::EdgeList> load_graph(const std::string& spec) {
+  unsigned long long a = 0, b = 0;
+  const auto numbers = [&](std::size_t prefix) {
+    const char* p = read_number(spec.c_str() + prefix, a);
+    if (p == nullptr || *p != ':') return false;
+    p = read_number(p + 1, b);
+    return p != nullptr && *p == '\0';
+  };
   if (spec.rfind("rmat:", 0) == 0) {
-    unsigned scale = 10;
-    unsigned long long ef = 16;
-    std::sscanf(spec.c_str(), "rmat:%u:%llu", &scale, &ef);
+    if (!numbers(5) || a > std::numeric_limits<unsigned>::max())
+      return std::nullopt;
     return gbtl_graph::deduplicate(gbtl_graph::remove_self_loops(
-        gbtl_graph::rmat(scale, static_cast<gbtl_graph::Index>(ef),
-                         20160522)));
+        gbtl_graph::rmat(static_cast<unsigned>(a),
+                         static_cast<gbtl_graph::Index>(b), 20160522)));
   }
   if (spec.rfind("er:", 0) == 0) {
-    unsigned long long n = 1024, m = 8192;
-    std::sscanf(spec.c_str(), "er:%llu:%llu", &n, &m);
+    if (!numbers(3)) return std::nullopt;
     return gbtl_graph::deduplicate(gbtl_graph::remove_self_loops(
-        gbtl_graph::erdos_renyi(n, m, 20160522)));
+        gbtl_graph::erdos_renyi(a, b, 20160522)));
   }
   if (spec.rfind("grid:", 0) == 0) {
-    unsigned long long r = 16, c = 16;
-    std::sscanf(spec.c_str(), "grid:%llu:%llu", &r, &c);
-    return gbtl_graph::grid2d(r, c);
+    if (!numbers(5)) return std::nullopt;
+    return gbtl_graph::grid2d(a, b);
   }
   return gbtl_graph::read_matrix_market_file(spec);
 }
@@ -162,9 +182,19 @@ int main(int argc, char** argv) {
   std::string backend = "seq";
   grb::IndexType source = 0;
   for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--backend=", 10) == 0) backend = argv[i] + 10;
+    if (std::strncmp(argv[i], "--backend=", 10) == 0) {
+      backend = argv[i] + 10;
+      continue;
+    }
+    unsigned long long v = 0;
+    const char* end = nullptr;
     if (std::strncmp(argv[i], "--source=", 9) == 0)
-      source = std::strtoull(argv[i] + 9, nullptr, 10);
+      end = read_number(argv[i] + 9, v);
+    if (end == nullptr || *end != '\0') {
+      std::fprintf(stderr, "cannot parse argument '%s'\n", argv[i]);
+      return 2;
+    }
+    source = v;
   }
   if (backend != "seq" && backend != "gpu") {
     std::fprintf(stderr, "unknown backend '%s' (expected seq or gpu)\n",
@@ -174,12 +204,19 @@ int main(int argc, char** argv) {
 
   try {
     const auto g = load_graph(argv[1]);
+    if (!g) {
+      std::fprintf(stderr,
+                   "cannot parse graph spec '%s' (expected rmat:s:e, "
+                   "er:n:m or grid:r:c)\n",
+                   argv[1]);
+      return 2;
+    }
     if (backend == "gpu") {
       // Private context for the run (ScopedDevice): counters start at zero
       // without the reset_stats() dance.
       gpu_sim::Context ctx;
       gpu_sim::ScopedDevice bind(ctx);
-      const int rc = run<grb::GpuSim>(g, argv[2], source);
+      const int rc = run<grb::GpuSim>(*g, argv[2], source);
       const auto s = ctx.stats();
       std::printf("simulated device: %.3f ms kernels (%llu launches) + "
                   "%.3f ms transfers (%llu MB moved)\n",
@@ -190,7 +227,7 @@ int main(int argc, char** argv) {
                       (s.h2d_bytes + s.d2h_bytes) >> 20));
       return rc;
     }
-    return run<grb::Sequential>(g, argv[2], source);
+    return run<grb::Sequential>(*g, argv[2], source);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

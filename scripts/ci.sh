@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate + sanitized fuzz pass.
 #
-#   scripts/ci.sh            # full: tier-1 build/test, bench smoke,
-#                            #   ASan/UBSan fuzz, TSan concurrency stage
+#   scripts/ci.sh            # full: tier-1 build/test, perfbench build,
+#                            #   bench smoke, ASan/UBSan fuzz, TSan
+#                            #   concurrency stage
 #   scripts/ci.sh --fast     # tier-1 only
 #
 # Tier-1 is the contract every change must keep green: configure, build,
@@ -18,6 +19,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 SAN_BUILD_DIR=${SAN_BUILD_DIR:-build-asan}
 TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
+PERFBENCH_BUILD_DIR=${PERFBENCH_BUILD_DIR:-build-perfbench}
 JOBS=${JOBS:-$(nproc)}
 
 echo "==> tier-1: configure + build (${BUILD_DIR})"
@@ -31,6 +33,13 @@ if [[ "${1:-}" == "--fast" ]]; then
   echo "==> done (fast mode: sanitizers and bench smoke skipped)"
   exit 0
 fi
+
+echo "==> perfbench: configure + build (${PERFBENCH_BUILD_DIR})"
+# perfbench reads the knob getters and DeviceStats fields by name, and the
+# benchmark runs build it from scratch: build it here so a rename fails CI
+# rather than the benchmark run.
+cmake -B "${PERFBENCH_BUILD_DIR}" -S perfbench >/dev/null
+cmake --build "${PERFBENCH_BUILD_DIR}" -j "${JOBS}"
 
 echo "==> bench smoke"
 # One filtered small-scale pass each through the SpMV benches, the BFS

@@ -119,13 +119,16 @@ template <typename T, typename Tag>
 bool is_proper_coloring(const grb::Matrix<T, Tag>& graph,
                         const grb::Vector<grb::IndexType, Tag>& colors) {
   if (colors.nvals() != graph.nrows()) return false;
+  // Dense, so the tuples come back in vertex order: color[v] is v's color.
+  grb::IndexArrayType idx;
+  std::vector<grb::IndexType> color;
+  colors.extractTuples(idx, color);
   grb::IndexArrayType rows, cols;
   std::vector<T> vals;
   graph.extractTuples(rows, cols, vals);
   for (grb::IndexType e = 0; e < rows.size(); ++e) {
     if (rows[e] == cols[e]) continue;
-    if (colors.extractElement(rows[e]) == colors.extractElement(cols[e]))
-      return false;
+    if (color[rows[e]] == color[cols[e]]) return false;
   }
   return true;
 }

@@ -115,26 +115,28 @@ bool is_bipartite(const grb::Matrix<T, Tag>& graph) {
     throw grb::DimensionException("bipartite: graph must be square");
 
   grb::Vector<IndexType, Tag> levels(n);
-  // Run BFS per undiscovered component, collecting all levels.
-  grb::Vector<IndexType, Tag> all_levels(n);
+  // Run BFS per undiscovered component, keeping each vertex's highest
+  // level on the host: one bulk read per root.
+  std::vector<IndexType> level(n, 0);
+  std::vector<bool> discovered(n, false);
+  grb::IndexArrayType idx;
+  std::vector<IndexType> lvls;
   for (IndexType v = 0; v < n; ++v) {
-    if (all_levels.hasElement(v)) continue;
+    if (discovered[v]) continue;
     bfs_level(graph, v, levels);
-    grb::eWiseAdd(all_levels, grb::NoMask{}, grb::NoAccumulate{},
-                  grb::Max<IndexType>{}, all_levels, levels, grb::Replace);
+    levels.extractTuples(idx, lvls);
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      discovered[idx[k]] = true;
+      level[idx[k]] = std::max(level[idx[k]], lvls[k]);
+    }
   }
-  // Parity vector: side[v] = level % 2. A same-side edge breaks
-  // bipartiteness.
-  grb::Vector<IndexType, Tag> side(n);
-  grb::apply(side, grb::NoMask{}, grb::NoAccumulate{},
-             [](IndexType lvl) { return lvl % 2; }, all_levels);
+  // Parity: side[v] = level % 2. A same-side edge breaks bipartiteness.
   grb::IndexArrayType rows, cols;
   std::vector<T> vals;
   graph.extractTuples(rows, cols, vals);
   for (IndexType e = 0; e < rows.size(); ++e) {
     if (rows[e] == cols[e]) return false;  // self loop = odd cycle
-    if (side.extractElement(rows[e]) == side.extractElement(cols[e]))
-      return false;
+    if (level[rows[e]] % 2 == level[cols[e]] % 2) return false;
   }
   return true;
 }

@@ -37,11 +37,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "gpu_sim/knob.hpp"
 #include "gpu_sim/thread_pool.hpp"
 
 namespace grb::cpupar_backend {
@@ -49,14 +49,13 @@ namespace grb::cpupar_backend {
 /// Worker count of a default-constructed pool: the GBTL_CPUPAR_THREADS
 /// environment override when set, else the hardware concurrency clamped to
 /// [1, 8] (CpuPar targets the small-graph regime below the GPU crossover;
-/// more workers than that only add wake-up latency).
+/// more workers than that only add wake-up latency). Read once, at first
+/// use.
 inline std::size_t default_worker_count() {
-  if (const char* env = std::getenv("GBTL_CPUPAR_THREADS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
-  const std::size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw, 1, 8);
+  static const gpu_sim::Knob<std::size_t> knob{
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 8),
+      "GBTL_CPUPAR_THREADS", &gpu_sim::parse_count};
+  return knob.get();
 }
 
 namespace detail {

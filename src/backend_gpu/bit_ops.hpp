@@ -154,8 +154,9 @@ void bit_gather(gpu_sim::Context& ctx,
       2 * words_touched + visited,
       dest_words * 8 + wwords * 16 + words_touched * 8 * planes,
       wrote * (sizeof(ZT) + 1)});
-  ctx.note_bit_selection(words_touched);
-  ctx.note_pull_early_exit_rows(early_rows);
+  ctx.count(&gpu_sim::DeviceStats::bit_selections, 1,
+            &gpu_sim::DeviceStats::bit_words_touched, words_touched,
+            &gpu_sim::DeviceStats::pull_early_exit_rows, early_rows);
 }
 
 /// Word-wise AND-popcount masked mxm: for each mask-allowed (i, j),
@@ -207,7 +208,8 @@ void bit_mxm_popcount(gpu_sim::Context& ctx, const std::uint64_t* arows,
       m_nnz * (sizeof(IndexType) + sizeof(MV)) +
           (nrows + 1) * sizeof(IndexType) + words_touched * 8,
       out * (sizeof(IndexType) + sizeof(ZT))});
-  ctx.note_bit_selection(words_touched);
+  ctx.count(&gpu_sim::DeviceStats::bit_selections, 1,
+            &gpu_sim::DeviceStats::bit_words_touched, words_touched);
 }
 
 }  // namespace grb::gpu_backend::detail

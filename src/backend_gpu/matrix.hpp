@@ -313,8 +313,8 @@ class Matrix {
   // pull-direction vxm and the mxm popcount's right operand). Each carries
   // a structure plane plus, when some stored value is falsy, a truth plane
   // (otherwise truth aliases structure). Materialized on demand by an
-  // explicit, counted, pool-allocated conversion (note_bit_conversion),
-  // cached until any structural or value mutation.
+  // explicit, counted (DeviceStats::bit_conversions), pool-allocated
+  // conversion, cached until any structural or value mutation.
   struct BitView {
     bool valid = false;
     bool all_truthy = true;
@@ -466,7 +466,7 @@ class Matrix {
           }
         });
     view.valid = true;
-    ctx_->note_bit_conversion();
+    ctx_->count(&gpu_sim::DeviceStats::bit_conversions, 1);
   }
 
   /// Materialize the CSC view from CSR: expand per-entry coordinates,

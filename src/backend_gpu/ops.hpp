@@ -222,7 +222,8 @@ void mxm_esc(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
       gpu_sim::copy_flagged(vals, flags, kept_vals);
       keys = std::move(kept_keys);
       vals = std::move(kept_vals);
-      ctx.note_spgemm_masked_products_avoided(total_products - kept);
+      ctx.count(&gpu_sim::DeviceStats::spgemm_masked_products_avoided,
+                total_products - kept);
     }
   }
 
@@ -497,10 +498,13 @@ void mxm_hash(Context& ctx, const AMat& A, const BMat& B, IndexType c_ncols,
         });
   }
 
-  ctx.note_spgemm_hash(gpu_sim::reduce_sum(collisions),
-                       total_slots * slot_bytes);
+  ctx.count(&gpu_sim::DeviceStats::spgemm_hash_collisions,
+            gpu_sim::reduce_sum(collisions),
+            &gpu_sim::DeviceStats::spgemm_hash_table_bytes,
+            total_slots * slot_bytes);
   if (seeded)
-    ctx.note_spgemm_masked_products_avoided(gpu_sim::reduce_sum(avoided));
+    ctx.count(&gpu_sim::DeviceStats::spgemm_masked_products_avoided,
+              gpu_sim::reduce_sum(avoided));
 }
 
 }  // namespace detail
@@ -609,7 +613,7 @@ void mxm(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   const sparse::AdaptiveSpgemm sel(row_flops.data(), row_caps.data(), nrows,
                                    c_ncols, seeded, sizeof(ZT),
                                    &ctx.properties());
-  ctx.note_spgemm_selection(sel.strategy());
+  ctx.count(&gpu_sim::DeviceStats::spgemm_selections, sel.strategy());
 
   gpu_sim::device_vector<IndexType> u_keys(ctx);
   gpu_sim::device_vector<ZT> u_vals(ctx);
@@ -771,7 +775,7 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
       }
     }
   }
-  ctx.note_direction_selection(direction);
+  ctx.count(&gpu_sim::DeviceStats::direction_selections, direction);
 
   // Bit-format bypass: on the logical semiring the whole fold is a word
   // AND/OR over the row bit view against the input's presence/truth
@@ -936,11 +940,12 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
             }
           }
         });
-    ctx.note_spmv_selection(
-        gpu_sim::SpmvKernelKind::kCsrLoadBalanced,
-        deg.warp_padded_slots > nnz
-            ? (deg.warp_padded_slots - nnz) * entry
-            : 0);
+    ctx.count(&gpu_sim::DeviceStats::kernel_selections,
+              gpu_sim::SpmvKernelKind::kCsrLoadBalanced,
+              &gpu_sim::DeviceStats::spmv_bytes_saved_vs_baseline,
+              deg.warp_padded_slots > nnz
+                  ? (deg.warp_padded_slots - nnz) * entry
+                  : 0);
   } else {
     // Row-parallel CSR SpMV. Warp-granular padding: a warp streams at the
     // pace of its heaviest row, so traffic is charged in effective slots.
@@ -963,7 +968,8 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
                      tp[i] = 1;
                    }
                  });
-    ctx.note_spmv_selection(gpu_sim::SpmvKernelKind::kCsrScalar, 0);
+    ctx.count(&gpu_sim::DeviceStats::kernel_selections,
+              gpu_sim::SpmvKernelKind::kCsrScalar);
   }
 
   pipeline::write_vector(w, t_vals, t_pres, out, accum);
@@ -1070,7 +1076,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   shape.transpose_cached = A.csc_cached();
   const auto direction = sparse::select_direction(
       shape, sparse::direction_mode(), &ctx.properties(), sizeof(ZT));
-  ctx.note_direction_selection(direction);
+  ctx.count(&gpu_sim::DeviceStats::direction_selections, direction);
 
   // Bit-format bypass: vxm on the logical semiring is the pull gather with
   // words for edges — each mask-allowed destination ANDs its transpose bit
@@ -1135,7 +1141,8 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
                   ? (fstats.warp_padded_slots - items) * entry
                   : 0;
     }
-    ctx.note_spmv_selection(kind, saved);
+    ctx.count(&gpu_sim::DeviceStats::kernel_selections, kind,
+              &gpu_sim::DeviceStats::spmv_bytes_saved_vs_baseline, saved);
     const std::uint64_t read =
         frontier_rows * (3 * sizeof(IndexType) + sizeof(UT)) +
         work_slots * entry + extra_bytes;
@@ -1211,7 +1218,7 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
         dest_count * 3 * sizeof(IndexType) +
             scanned * (sizeof(IndexType) + sizeof(AT) + sizeof(UT) + 1),
         wrote * (sizeof(ZT) + 1)});
-    ctx.note_pull_early_exit_rows(early_rows);
+    ctx.count(&gpu_sim::DeviceStats::pull_early_exit_rows, early_rows);
   }
 
   pipeline::write_vector(w, t_vals, t_pres, out, accum);
@@ -1734,8 +1741,7 @@ void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
   for (IndexType src : indices)
     if (src >= u.size())
       throw IndexOutOfBoundsException("extract: source index");
-  if (!sparse::op_dag().draining &&
-      sparse::fusion_mode() != sparse::FusionMode::Off) {
+  if (!sparse::fusion_eager()) {
     auto idx = std::make_shared<IndexArrayType>(indices);
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kExtract, &w,
@@ -1782,8 +1788,7 @@ void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
   for (IndexType dst : indices)
     if (dst >= w.size())
       throw IndexOutOfBoundsException("assign: destination index");
-  if (!sparse::op_dag().draining &&
-      sparse::fusion_mode() != sparse::FusionMode::Off) {
+  if (!sparse::fusion_eager()) {
     auto idx = std::make_shared<IndexArrayType>(indices);
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kAssign, &w,
@@ -1847,8 +1852,7 @@ void assign_vec_constant(Vector<WT>& w, const OutputDescriptor<MObj>& out,
   for (IndexType dst : indices)
     if (dst >= w.size())
       throw IndexOutOfBoundsException("assign: destination index");
-  if (!sparse::op_dag().draining &&
-      sparse::fusion_mode() != sparse::FusionMode::Off) {
+  if (!sparse::fusion_eager()) {
     auto idx = std::make_shared<IndexArrayType>(indices);
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kAssignConstant, &w,

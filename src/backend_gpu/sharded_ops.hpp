@@ -323,7 +323,9 @@ void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   // The epilogue reads T̃ on the compute stream; make it wait for the last
   // returned block.
   home.stream_wait(0, home.stream_clock_s(home_ts));
-  home.note_halo_exchange(shards.size(), halo_bytes, timeline.hidden_s());
+  home.raise(&gpu_sim::DeviceStats::shards_active, shards.size(),
+             &gpu_sim::DeviceStats::halo_bytes_exchanged, halo_bytes,
+             &gpu_sim::DeviceStats::halo_seconds_hidden, timeline.hidden_s());
 
   pipeline::write_vector(w, t_vals, t_pres, out, accum);
 }
@@ -555,7 +557,9 @@ void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
   }
 
   home.stream_wait(0, home.stream_clock_s(home_ts));
-  home.note_halo_exchange(shards.size(), halo_bytes, timeline.hidden_s());
+  home.raise(&gpu_sim::DeviceStats::shards_active, shards.size(),
+             &gpu_sim::DeviceStats::halo_bytes_exchanged, halo_bytes,
+             &gpu_sim::DeviceStats::halo_seconds_hidden, timeline.hidden_s());
 
   pipeline::write_vector(w, t_vals, t_pres, out, accum);
 }

@@ -99,7 +99,7 @@ class Vector {
       nvals_cache_ = static_cast<IndexType>(gpu_sim::count_if(
           present_, [](std::uint8_t p) { return p != 0; }));
       nvals_valid_ = true;
-      ctx_->note_nvals_recount();
+      ctx_->count(&gpu_sim::DeviceStats::nvals_recounts, 1);
     }
     return nvals_cache_;
   }
@@ -116,7 +116,7 @@ class Vector {
       sparse_valid_ = true;
       nvals_cache_ = static_cast<IndexType>(kept);
       nvals_valid_ = true;
-      ctx_->note_frontier_compaction();
+      ctx_->count(&gpu_sim::DeviceStats::frontier_compactions, 1);
     }
     return sparse_indices_;
   }

@@ -43,12 +43,12 @@ DeviceStats Context::stats() const {
 void Context::reset_stats() {
   run_drain_hook();
   std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t in_use = stats_.bytes_in_use;
-  const std::size_t held = stats_.pool_bytes_held;
-  stats_ = DeviceStats{};
-  stats_.bytes_in_use = in_use;  // live allocations survive a stats reset
-  stats_.peak_bytes_in_use = in_use;
-  stats_.pool_bytes_held = held;  // cached blocks do too
+  DeviceStats fresh;
+  for_each_counter([&](const char*, auto field, CounterKind kind) {
+    if (kind == CounterKind::kPointInTime) fresh.*field = stats_.*field;
+  });
+  fresh.peak_bytes_in_use = fresh.bytes_in_use;
+  stats_ = fresh;
   std::fill(timeline_end_.begin(), timeline_end_.end(), 0.0);
 }
 
@@ -323,74 +323,6 @@ void Context::validate_launch(const Dim3& grid, const Dim3& block) const {
                               std::to_string(props_.max_threads_per_block));
   if (grid.x > props_.max_grid_dim_x)
     throw InvalidLaunchConfig("grid.x exceeds device limit");
-}
-
-void Context::note_spmv_selection(SpmvKernelKind kind,
-                                  std::uint64_t bytes_saved_vs_baseline) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.kernel_selections[static_cast<std::size_t>(kind)];
-  stats_.spmv_bytes_saved_vs_baseline += bytes_saved_vs_baseline;
-}
-
-void Context::note_direction_selection(TraversalDirection direction) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.direction_selections[static_cast<std::size_t>(direction)];
-}
-
-void Context::note_frontier_compaction() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.frontier_compactions;
-}
-
-void Context::note_pull_early_exit_rows(std::uint64_t rows) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.pull_early_exit_rows += rows;
-}
-
-void Context::note_nvals_recount() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.nvals_recounts;
-}
-
-void Context::note_spgemm_selection(SpgemmStrategy strategy) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.spgemm_selections[static_cast<std::size_t>(strategy)];
-}
-
-void Context::note_spgemm_hash(std::uint64_t collisions,
-                               std::uint64_t table_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.spgemm_hash_collisions += collisions;
-  stats_.spgemm_hash_table_bytes += table_bytes;
-}
-
-void Context::note_spgemm_masked_products_avoided(std::uint64_t products) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.spgemm_masked_products_avoided += products;
-}
-
-void Context::note_fused_group() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.fused_launches;
-}
-
-void Context::note_halo_exchange(std::uint64_t shards, std::uint64_t bytes,
-                                 double seconds_hidden) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (shards > stats_.shards_active) stats_.shards_active = shards;
-  stats_.halo_bytes_exchanged += bytes;
-  stats_.halo_seconds_hidden += seconds_hidden;
-}
-
-void Context::note_bit_selection(std::uint64_t words_touched) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.bit_selections;
-  stats_.bit_words_touched += words_touched;
-}
-
-void Context::note_bit_conversion() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.bit_conversions;
 }
 
 void Context::account_launch(const LaunchStats& stats) {

@@ -13,10 +13,13 @@
 /// DeviceStats::overlap_seconds_hidden). The overlap is modeled only; no
 /// check yet proves each modeled overlap causally legal under stream order.
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -196,65 +199,26 @@ class Context {
   /// launch(). Advances the clock exactly as launch() would.
   void account_kernel(const LaunchStats& stats) { account_launch(stats); }
 
-  /// Record one adaptive-SpMV dispatch decision (sparse/spmv_select.hpp):
-  /// which kernel variant ran and how many bytes of traffic the choice
-  /// avoided relative to the row-parallel CSR baseline. Pure bookkeeping —
-  /// does not advance the clock.
-  void note_spmv_selection(SpmvKernelKind kind,
-                           std::uint64_t bytes_saved_vs_baseline);
+  /// Bookkeeping that does not advance the clock. Under one lock, add each
+  /// amount to its cumulative counter:
+  /// `count(&DeviceStats::a, by_a, &DeviceStats::b, by_b, ...)`. A
+  /// per-variant array counter takes the variant it counts one for:
+  /// `count(&DeviceStats::kernel_selections, SpmvKernelKind::kEll, ...)`.
+  template <typename... Updates>
+  void count(const Updates&... updates) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    count_locked(updates...);
+  }
 
-  /// Record one push/pull direction decision of the traversal engine
-  /// (backend_gpu/ops.hpp). Pure bookkeeping — does not advance the clock.
-  void note_direction_selection(TraversalDirection direction);
-
-  /// Record one sparse-frontier compaction actually materialized by
-  /// backend_gpu::Vector (cache misses only, not cache hits).
-  void note_frontier_compaction();
-
-  /// Record rows the pull kernel abandoned early on an annihilator hit.
-  void note_pull_early_exit_rows(std::uint64_t rows);
-
-  /// Record one presence-bitmap recount the nvals cache could not serve.
-  void note_nvals_recount();
-
-  /// Record one adaptive-SpGEMM dispatch decision (sparse/spgemm_select.hpp):
-  /// which strategy served the mxm call. Pure bookkeeping — does not advance
-  /// the clock.
-  void note_spgemm_selection(SpgemmStrategy strategy);
-
-  /// Record one hash-SpGEMM numeric pass: probe-chain collisions suffered
-  /// and table storage carved for it. Pure bookkeeping.
-  void note_spgemm_hash(std::uint64_t collisions,
-                        std::uint64_t table_bytes);
-
-  /// Record partial products a mask-seeded hash table refused to insert
-  /// (the masked early exit, quantified). Pure bookkeeping.
-  void note_spgemm_masked_products_avoided(std::uint64_t products);
-
-  /// Record one multi-op group the fusion planner charged as a single
-  /// composite launch. Pure bookkeeping — the per-launch overhead elision
-  /// itself happens in account_launch under a FusedLaunchScope.
-  void note_fused_group();
-
-  /// Record one sharded mxv/vxm coordinated from this (home) context
-  /// (backend_gpu/sharded_ops.hpp): the shard fan-out (kept as a high-water
-  /// mark in DeviceStats::shards_active), total cross-device halo bytes
-  /// moved, and the seconds of that exchange hidden under shard kernels.
-  /// Pure bookkeeping — the modeled copy time itself is charged on each
-  /// shard context's transfer stream.
-  void note_halo_exchange(std::uint64_t shards, std::uint64_t bytes,
-                          double seconds_hidden);
-
-  /// Record one op the selectors routed onto the Bit-format word kernels
-  /// (sparse/bitmap.hpp) and the 64-bit words that kernel actually touched.
-  /// Pure bookkeeping — the word traffic itself is charged via
-  /// account_kernel by the bit kernels.
-  void note_bit_selection(std::uint64_t words_touched);
-
-  /// Record one explicit CSR -> bitmap conversion (a cold bit-view
-  /// orientation materialized). Pure bookkeeping — the conversion pipeline
-  /// charges its own launches.
-  void note_bit_conversion();
+  /// Under one lock, raise the high-water counter @p field to at least
+  /// @p level, then apply count(updates...).
+  template <typename T, typename... Updates>
+  void raise(T DeviceStats::*field, std::type_identity_t<T> level,
+             const Updates&... updates) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_.*field = std::max(stats_.*field, level);
+    count_locked(updates...);
+  }
 
   /// Process-wide materialization hook installed by the lazy-fusion layer
   /// (sparse/fusion_plan.hpp): called before any host read of the clock or
@@ -281,6 +245,20 @@ class Context {
   /// makespan).
   void update_overlap_locked();
   static void run_drain_hook();
+
+  void count_locked() {}
+  template <typename T, typename... Rest>
+  void count_locked(T DeviceStats::*field, std::type_identity_t<T> by,
+                    const Rest&... rest) {
+    stats_.*field += by;
+    count_locked(rest...);
+  }
+  template <typename T, std::size_t N, typename Variant, typename... Rest>
+  void count_locked(std::array<T, N> DeviceStats::*field, Variant variant,
+                    const Rest&... rest) {
+    ++(stats_.*field)[static_cast<std::size_t>(variant)];
+    count_locked(rest...);
+  }
 
   DeviceProperties props_;
   ThreadPool pool_;

@@ -1,13 +1,22 @@
 #pragma once
 
 /// @file stats.hpp
-/// Cumulative counters of everything the simulated device did. Benches read
-/// these to report simulated kernel time, transfer time and traffic exactly
-/// the way nvprof output backed the paper's figures.
+/// Counters of everything the simulated device did. Benches read these to
+/// report simulated kernel time, transfer time and traffic exactly the way
+/// nvprof output backed the paper's figures.
+///
+/// for_each_counter lists every DeviceStats field once with its kind:
+///   - cumulative: only grows; `a - b` is the activity between two
+///     snapshots, and Context::reset_stats() zeroes it;
+///   - point-in-time: a level now (bytes in use, bytes the pool holds);
+///     `a - b` and reset_stats() both keep it;
+///   - high-water: the largest level seen; `a - b` keeps it, and
+///     reset_stats() restarts it (the byte peak at the bytes in use).
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace gpu_sim {
 
@@ -196,61 +205,81 @@ struct DeviceStats {
   }
 };
 
-/// Difference of two cumulative snapshots — used by benches to attribute
-/// device activity to one timed region.
+enum class CounterKind { kCumulative, kPointInTime, kHighWater };
+
+/// Calls `f(name, &DeviceStats::field, kind)` once for every DeviceStats
+/// field: the one list of the counters and their kinds.
+template <typename F>
+constexpr void for_each_counter(F&& f) {
+  using S = DeviceStats;
+  constexpr auto kCum = CounterKind::kCumulative;
+  f("allocations", &S::allocations, kCum);
+  f("frees", &S::frees, kCum);
+  f("bytes_in_use", &S::bytes_in_use, CounterKind::kPointInTime);
+  f("peak_bytes_in_use", &S::peak_bytes_in_use, CounterKind::kHighWater);
+  f("total_bytes_allocated", &S::total_bytes_allocated, kCum);
+  f("pool_hits", &S::pool_hits, kCum);
+  f("pool_misses", &S::pool_misses, kCum);
+  f("pool_trims", &S::pool_trims, kCum);
+  f("pool_bytes_held", &S::pool_bytes_held, CounterKind::kPointInTime);
+  f("kernel_launches", &S::kernel_launches, kCum);
+  f("kernel_ops", &S::kernel_ops, kCum);
+  f("kernel_bytes_read", &S::kernel_bytes_read, kCum);
+  f("kernel_bytes_written", &S::kernel_bytes_written, kCum);
+  f("simulated_kernel_time_s", &S::simulated_kernel_time_s, kCum);
+  f("h2d_transfers", &S::h2d_transfers, kCum);
+  f("h2d_bytes", &S::h2d_bytes, kCum);
+  f("d2h_transfers", &S::d2h_transfers, kCum);
+  f("d2h_bytes", &S::d2h_bytes, kCum);
+  f("d2d_copies", &S::d2d_copies, kCum);
+  f("d2d_bytes", &S::d2d_bytes, kCum);
+  f("simulated_transfer_time_s", &S::simulated_transfer_time_s, kCum);
+  f("kernel_selections", &S::kernel_selections, kCum);
+  f("spmv_bytes_saved_vs_baseline", &S::spmv_bytes_saved_vs_baseline, kCum);
+  f("direction_selections", &S::direction_selections, kCum);
+  f("frontier_compactions", &S::frontier_compactions, kCum);
+  f("pull_early_exit_rows", &S::pull_early_exit_rows, kCum);
+  f("nvals_recounts", &S::nvals_recounts, kCum);
+  f("spgemm_selections", &S::spgemm_selections, kCum);
+  f("spgemm_hash_collisions", &S::spgemm_hash_collisions, kCum);
+  f("spgemm_hash_table_bytes", &S::spgemm_hash_table_bytes, kCum);
+  f("spgemm_masked_products_avoided", &S::spgemm_masked_products_avoided,
+    kCum);
+  f("fused_launches", &S::fused_launches, kCum);
+  f("launches_elided", &S::launches_elided, kCum);
+  f("overlap_seconds_hidden", &S::overlap_seconds_hidden, kCum);
+  f("shards_active", &S::shards_active, CounterKind::kHighWater);
+  f("halo_bytes_exchanged", &S::halo_bytes_exchanged, kCum);
+  f("halo_seconds_hidden", &S::halo_seconds_hidden, kCum);
+  f("bit_selections", &S::bit_selections, kCum);
+  f("bit_words_touched", &S::bit_words_touched, kCum);
+  f("bit_conversions", &S::bit_conversions, kCum);
+}
+
+// A field missing from the list above fails the build here.
+static_assert(
+    [] {
+      std::size_t listed = 0;
+      for_each_counter([&](const char*, auto field, CounterKind) {
+        listed += sizeof(DeviceStats{}.*field);
+      });
+      return listed;
+    }() == sizeof(DeviceStats),
+    "for_each_counter must list every DeviceStats field");
+
+/// Difference of two snapshots, used by benches to attribute device
+/// activity to one timed region: cumulative counters subtract, the others
+/// keep @p a's value.
 inline DeviceStats operator-(const DeviceStats& a, const DeviceStats& b) {
-  DeviceStats d;
-  d.allocations = a.allocations - b.allocations;
-  d.frees = a.frees - b.frees;
-  d.bytes_in_use = a.bytes_in_use;  // point-in-time, not differenced
-  d.peak_bytes_in_use = a.peak_bytes_in_use;
-  d.total_bytes_allocated = a.total_bytes_allocated - b.total_bytes_allocated;
-  d.pool_hits = a.pool_hits - b.pool_hits;
-  d.pool_misses = a.pool_misses - b.pool_misses;
-  d.pool_trims = a.pool_trims - b.pool_trims;
-  d.pool_bytes_held = a.pool_bytes_held;  // point-in-time, not differenced
-  d.kernel_launches = a.kernel_launches - b.kernel_launches;
-  d.kernel_ops = a.kernel_ops - b.kernel_ops;
-  d.kernel_bytes_read = a.kernel_bytes_read - b.kernel_bytes_read;
-  d.kernel_bytes_written = a.kernel_bytes_written - b.kernel_bytes_written;
-  d.simulated_kernel_time_s =
-      a.simulated_kernel_time_s - b.simulated_kernel_time_s;
-  d.h2d_transfers = a.h2d_transfers - b.h2d_transfers;
-  d.h2d_bytes = a.h2d_bytes - b.h2d_bytes;
-  d.d2h_transfers = a.d2h_transfers - b.d2h_transfers;
-  d.d2h_bytes = a.d2h_bytes - b.d2h_bytes;
-  d.d2d_copies = a.d2d_copies - b.d2d_copies;
-  d.d2d_bytes = a.d2d_bytes - b.d2d_bytes;
-  d.simulated_transfer_time_s =
-      a.simulated_transfer_time_s - b.simulated_transfer_time_s;
-  for (std::size_t i = 0; i < kSpmvKernelKindCount; ++i)
-    d.kernel_selections[i] = a.kernel_selections[i] - b.kernel_selections[i];
-  d.spmv_bytes_saved_vs_baseline =
-      a.spmv_bytes_saved_vs_baseline - b.spmv_bytes_saved_vs_baseline;
-  for (std::size_t i = 0; i < kTraversalDirectionCount; ++i)
-    d.direction_selections[i] =
-        a.direction_selections[i] - b.direction_selections[i];
-  d.frontier_compactions = a.frontier_compactions - b.frontier_compactions;
-  d.pull_early_exit_rows = a.pull_early_exit_rows - b.pull_early_exit_rows;
-  d.nvals_recounts = a.nvals_recounts - b.nvals_recounts;
-  for (std::size_t i = 0; i < kSpgemmStrategyCount; ++i)
-    d.spgemm_selections[i] = a.spgemm_selections[i] - b.spgemm_selections[i];
-  d.spgemm_hash_collisions =
-      a.spgemm_hash_collisions - b.spgemm_hash_collisions;
-  d.spgemm_hash_table_bytes =
-      a.spgemm_hash_table_bytes - b.spgemm_hash_table_bytes;
-  d.spgemm_masked_products_avoided =
-      a.spgemm_masked_products_avoided - b.spgemm_masked_products_avoided;
-  d.fused_launches = a.fused_launches - b.fused_launches;
-  d.launches_elided = a.launches_elided - b.launches_elided;
-  d.overlap_seconds_hidden =
-      a.overlap_seconds_hidden - b.overlap_seconds_hidden;
-  d.shards_active = a.shards_active;  // high-water mark, not differenced
-  d.halo_bytes_exchanged = a.halo_bytes_exchanged - b.halo_bytes_exchanged;
-  d.halo_seconds_hidden = a.halo_seconds_hidden - b.halo_seconds_hidden;
-  d.bit_selections = a.bit_selections - b.bit_selections;
-  d.bit_words_touched = a.bit_words_touched - b.bit_words_touched;
-  d.bit_conversions = a.bit_conversions - b.bit_conversions;
+  DeviceStats d = a;
+  for_each_counter([&](const char*, auto field, CounterKind kind) {
+    if (kind != CounterKind::kCumulative) return;
+    auto& x = d.*field;
+    if constexpr (std::is_arithmetic_v<std::remove_reference_t<decltype(x)>>)
+      x -= b.*field;
+    else
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] -= (b.*field)[i];
+  });
   return d;
 }
 

@@ -27,11 +27,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "gpu_sim/device_properties.hpp"
+#include "gpu_sim/knob.hpp"
 #include "sparse/formats.hpp"
 
 namespace sparse {
@@ -284,33 +283,19 @@ enum class BitMode {
   Off     ///< never leave CSR
 };
 
-inline BitMode bit_mode_from_env() {
-  if (const char* s = std::getenv("GBTL_BIT_MODE")) {
-    if (std::strcmp(s, "force") == 0) return BitMode::Force;
-    if (std::strcmp(s, "off") == 0) return BitMode::Off;
-    if (std::strcmp(s, "auto") == 0) return BitMode::Auto;
-  }
-  return BitMode::Auto;
-}
+/// The names GBTL_BIT_MODE accepts.
+inline constexpr gpu_sim::KnobName<BitMode> kBitModeNames[] = {
+    {"auto", BitMode::Auto}, {"force", BitMode::Force}, {"off", BitMode::Off}};
 
 /// Process-wide mode, seeded once from GBTL_BIT_MODE (see docs/env_vars.md).
-inline BitMode& bit_mode() {
-  static BitMode mode = bit_mode_from_env();
-  return mode;
+inline gpu_sim::Knob<BitMode>& bit_mode_knob() {
+  static gpu_sim::Knob<BitMode> knob{BitMode::Auto, "GBTL_BIT_MODE",
+                                     &gpu_sim::parse_named<kBitModeNames>};
+  return knob;
 }
-
-class BitModeGuard {
- public:
-  explicit BitModeGuard(BitMode mode) : saved_(bit_mode()) {
-    bit_mode() = mode;
-  }
-  ~BitModeGuard() { bit_mode() = saved_; }
-  BitModeGuard(const BitModeGuard&) = delete;
-  BitModeGuard& operator=(const BitModeGuard&) = delete;
-
- private:
-  BitMode saved_;
-};
+inline BitMode bit_mode() { return bit_mode_knob().get(); }
+/// Pins bit_mode() for a scope (tests and benches).
+using BitModeGuard = gpu_sim::KnobGuard<bit_mode_knob>;
 
 // ---------------------------------------------------------------------------
 // Cost model: word-granularity traffic

@@ -37,8 +37,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -48,6 +46,7 @@
 
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_vector.hpp"
+#include "gpu_sim/knob.hpp"
 
 namespace sparse {
 
@@ -61,23 +60,20 @@ enum class FusionMode {
   Auto,
 };
 
-inline FusionMode fusion_mode_from_env() {
-  if (const char* env = std::getenv("GBTL_FUSION_MODE")) {
-    if (std::strcmp(env, "off") == 0) return FusionMode::Off;
-    if (std::strcmp(env, "fuse") == 0) return FusionMode::Fuse;
-    if (std::strcmp(env, "auto") == 0) return FusionMode::Auto;
-  }
-  return FusionMode::Auto;
-}
+/// The names GBTL_FUSION_MODE accepts.
+inline constexpr gpu_sim::KnobName<FusionMode> kFusionModeNames[] = {
+    {"off", FusionMode::Off}, {"fuse", FusionMode::Fuse},
+    {"auto", FusionMode::Auto}};
 
 /// Process-wide mode, seeded once from GBTL_FUSION_MODE (default Auto) so CI
 /// can pin any binary without a code change.
-inline FusionMode& fusion_mode_ref() {
-  static FusionMode mode = fusion_mode_from_env();
-  return mode;
+inline gpu_sim::Knob<FusionMode>& fusion_mode_knob() {
+  static gpu_sim::Knob<FusionMode> knob{
+      FusionMode::Auto, "GBTL_FUSION_MODE",
+      &gpu_sim::parse_named<kFusionModeNames>};
+  return knob;
 }
-
-inline FusionMode fusion_mode() { return fusion_mode_ref(); }
+inline FusionMode fusion_mode() { return fusion_mode_knob().get(); }
 
 // --- The recorded node ------------------------------------------------------
 
@@ -258,7 +254,8 @@ inline void drain(OpDag& dag) {
         ++j;
     }
     if (j - i > 1) {
-      if (nodes[i].ctx != nullptr) nodes[i].ctx->note_fused_group();
+      if (nodes[i].ctx != nullptr)
+        nodes[i].ctx->count(&gpu_sim::DeviceStats::fused_launches, 1);
       gpu_sim::FusedLaunchScope scope;
       for (std::size_t k = i; k < j; ++k)
         fusion_detail::run_node(nodes[k], /*non_head_member=*/k > i);
@@ -293,32 +290,36 @@ inline void fusion_sync_if_touches(const void* p) {
   if (fusion_touches(p)) fusion_sync_all();
 }
 
-/// RAII guard for tests/benches that pin the mode and must restore it.
-/// Drains on entry and exit so ops recorded under one mode never execute
-/// under another's accounting.
+/// Pins fusion_mode() for a scope (tests and benches). Drains the calling
+/// thread's dag before it pins and again before it restores, so ops
+/// recorded under one mode never execute under another's accounting.
 class FusionGuard {
  public:
-  explicit FusionGuard(FusionMode mode) : saved_(fusion_mode_ref()) {
-    fusion_sync_all();
-    fusion_mode_ref() = mode;
-  }
-  ~FusionGuard() {
-    fusion_sync_all();
-    fusion_mode_ref() = saved_;
-  }
-  FusionGuard(const FusionGuard&) = delete;
-  FusionGuard& operator=(const FusionGuard&) = delete;
+  explicit FusionGuard(FusionMode mode) : pin_((fusion_sync_all(), mode)) {}
+  ~FusionGuard() { fusion_sync_all(); }  // pin_ restores after the drain
 
  private:
-  FusionMode saved_;
+  gpu_sim::KnobGuard<fusion_mode_knob> pin_;
 };
 
 // --- Recording --------------------------------------------------------------
 
+/// True when the calling thread must run ops eagerly: while draining (the
+/// replay path) or when fusion is Off. Another thread may switch fusion off
+/// after this one recorded, so under Off it first drains this thread's dag:
+/// an eager op must never read a pending output.
+inline bool fusion_eager() {
+  OpDag& dag = op_dag();
+  if (dag.draining) return true;
+  if (fusion_mode() != FusionMode::Off) return false;
+  drain(dag);
+  return true;
+}
+
 /// Record one op into the calling thread's dag. Returns false — meaning the
-/// caller must execute eagerly — while draining (the replay path) or when
-/// fusion is Off. The first successful record installs the process-wide
-/// drain hook so any clock/stats read materializes pending work.
+/// caller must execute eagerly — when fusion_eager(). The first successful
+/// record installs the process-wide drain hook so any clock/stats read
+/// materializes pending work.
 inline bool record_op(FusedOpKind kind, const void* output,
                       std::initializer_list<const void*> inputs,
                       std::size_t items, gpu_sim::Context& ctx,
@@ -326,9 +327,7 @@ inline bool record_op(FusedOpKind kind, const void* output,
                       std::function<void()> run_fused = nullptr,
                       std::function<void()> prefetch = nullptr,
                       std::shared_ptr<StagedUpload> staged = nullptr) {
-  OpDag& dag = op_dag();
-  if (dag.draining) return false;
-  if (fusion_mode() == FusionMode::Off) return false;
+  if (fusion_eager()) return false;
   static const bool hook_installed = [] {
     gpu_sim::Context::set_drain_hook(&fusion_sync_all);
     return true;
@@ -346,7 +345,7 @@ inline bool record_op(FusedOpKind kind, const void* output,
   op.run_fused = std::move(run_fused);
   op.prefetch = std::move(prefetch);
   op.staged = std::move(staged);
-  dag.nodes.push_back(std::move(op));
+  op_dag().nodes.push_back(std::move(op));
   return true;
 }
 

@@ -14,8 +14,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
+
+#include "gpu_sim/knob.hpp"
 
 namespace sparse {
 
@@ -42,31 +43,14 @@ struct ShardPlan {
 
 /// Process-wide shard-count pin, seeded once from GBTL_SHARDS (0 = let the
 /// budget heuristic decide) so CI can force a fan-out without a code change.
-inline std::size_t& shard_count_override() {
-  static std::size_t count = [] {
-    if (const char* env = std::getenv("GBTL_SHARDS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{0};
-  }();
-  return count;
+inline gpu_sim::Knob<std::size_t>& shard_count_knob() {
+  static gpu_sim::Knob<std::size_t> knob{0, "GBTL_SHARDS",
+                                         &gpu_sim::parse_count};
+  return knob;
 }
-
-/// RAII guard for tests/benches that pin the shard count and must restore it.
-class ShardCountGuard {
- public:
-  explicit ShardCountGuard(std::size_t count)
-      : saved_(shard_count_override()) {
-    shard_count_override() = count;
-  }
-  ~ShardCountGuard() { shard_count_override() = saved_; }
-  ShardCountGuard(const ShardCountGuard&) = delete;
-  ShardCountGuard& operator=(const ShardCountGuard&) = delete;
-
- private:
-  std::size_t saved_;
-};
+inline std::size_t shard_count_override() { return shard_count_knob().get(); }
+/// Pins shard_count_override() for a scope (tests and benches).
+using ShardCountGuard = gpu_sim::KnobGuard<shard_count_knob>;
 
 /// Pick how many row blocks to cut a graph into: the GBTL_SHARDS override
 /// verbatim when set; otherwise the smallest count whose per-shard share of

@@ -26,6 +26,7 @@
 #include <string>
 
 #include "gpu_sim/context.hpp"
+#include "gpu_sim/knob.hpp"
 #include "sparse/formats.hpp"
 
 namespace sparse {
@@ -45,31 +46,23 @@ enum class SpgemmMode {
   Hash,
 };
 
-inline SpgemmMode& spgemm_mode() {
-  static SpgemmMode mode = SpgemmMode::Auto;
-  return mode;
+inline gpu_sim::Knob<SpgemmMode>& spgemm_mode_knob() {
+  static gpu_sim::Knob<SpgemmMode> knob{SpgemmMode::Auto};
+  return knob;
 }
-
-/// RAII guard for tests/benches that pin the strategy and must restore it.
-class SpgemmModeGuard {
- public:
-  explicit SpgemmModeGuard(SpgemmMode mode) : saved_(spgemm_mode()) {
-    spgemm_mode() = mode;
-  }
-  ~SpgemmModeGuard() { spgemm_mode() = saved_; }
-  SpgemmModeGuard(const SpgemmModeGuard&) = delete;
-  SpgemmModeGuard& operator=(const SpgemmModeGuard&) = delete;
-
- private:
-  SpgemmMode saved_;
-};
+inline SpgemmMode spgemm_mode() { return spgemm_mode_knob().get(); }
+/// Pins spgemm_mode() for a scope (tests and benches).
+using SpgemmModeGuard = gpu_sim::KnobGuard<spgemm_mode_knob>;
 
 /// Target open-addressing load factor: tables are sized to
-/// entries / slots <= this bound (then rounded up to a power of two).
-/// Mutable so the edge tests can force a worst-case 1.0 load factor.
-inline double& spgemm_hash_load_target() {
-  static double target = 0.5;
-  return target;
+/// entries / slots <= this bound (then rounded up to a power of two). A
+/// knob so the edge tests can force a worst-case 1.0 load factor.
+inline gpu_sim::Knob<double>& spgemm_hash_load_target_knob() {
+  static gpu_sim::Knob<double> knob{0.5};
+  return knob;
+}
+inline double spgemm_hash_load_target() {
+  return spgemm_hash_load_target_knob().get();
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include "gpu_sim/algorithms.hpp"
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_vector.hpp"
+#include "gpu_sim/knob.hpp"
 #include "sparse/formats.hpp"
 
 namespace sparse {
@@ -67,13 +68,13 @@ std::vector<T> spmv_device(const Csr<T>& a, const std::vector<T>& x,
   return dy.to_host();
 }
 
-/// Default nnz-per-team chunk of the load-balanced kernel. Mutable global so
-/// tests can shrink it to force multi-team partial-row coverage on tiny
-/// matrices.
-inline Index& spmv_lb_chunk() {
-  static Index chunk = 256;
-  return chunk;
+/// Default nnz-per-team chunk of the load-balanced kernel. A knob so tests
+/// can shrink it to force multi-team partial-row coverage on tiny matrices.
+inline gpu_sim::Knob<Index>& spmv_lb_chunk_knob() {
+  static gpu_sim::Knob<Index> knob{256};
+  return knob;
 }
+inline Index spmv_lb_chunk() { return spmv_lb_chunk_knob().get(); }
 
 /// y = A * x on the simulated device, merge-path load-balanced CSR.
 ///

@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "gpu_sim/context.hpp"
+#include "gpu_sim/knob.hpp"
 #include "sparse/formats.hpp"
 #include "sparse/spmv_device.hpp"
 
@@ -119,24 +120,13 @@ enum class SpmvMode {
   ForceHyb,
 };
 
-inline SpmvMode& spmv_mode() {
-  static SpmvMode mode = SpmvMode::Adaptive;
-  return mode;
+inline gpu_sim::Knob<SpmvMode>& spmv_mode_knob() {
+  static gpu_sim::Knob<SpmvMode> knob{SpmvMode::Adaptive};
+  return knob;
 }
-
-/// RAII guard for tests/benches that pin the mode and must restore it.
-class SpmvModeGuard {
- public:
-  explicit SpmvModeGuard(SpmvMode mode) : saved_(spmv_mode()) {
-    spmv_mode() = mode;
-  }
-  ~SpmvModeGuard() { spmv_mode() = saved_; }
-  SpmvModeGuard(const SpmvModeGuard&) = delete;
-  SpmvModeGuard& operator=(const SpmvModeGuard&) = delete;
-
- private:
-  SpmvMode saved_;
-};
+inline SpmvMode spmv_mode() { return spmv_mode_knob().get(); }
+/// Pins spmv_mode() for a scope (tests and benches).
+using SpmvModeGuard = gpu_sim::KnobGuard<spmv_mode_knob>;
 
 // ---------------------------------------------------------------------------
 // Traversal direction selection (push/pull, backend_gpu vxm/mxv)
@@ -153,24 +143,13 @@ enum class DirectionMode {
   ForcePull,
 };
 
-inline DirectionMode& direction_mode() {
-  static DirectionMode mode = DirectionMode::Auto;
-  return mode;
+inline gpu_sim::Knob<DirectionMode>& direction_mode_knob() {
+  static gpu_sim::Knob<DirectionMode> knob{DirectionMode::Auto};
+  return knob;
 }
-
-/// RAII guard for tests/benches that pin the direction and must restore it.
-class DirectionModeGuard {
- public:
-  explicit DirectionModeGuard(DirectionMode mode) : saved_(direction_mode()) {
-    direction_mode() = mode;
-  }
-  ~DirectionModeGuard() { direction_mode() = saved_; }
-  DirectionModeGuard(const DirectionModeGuard&) = delete;
-  DirectionModeGuard& operator=(const DirectionModeGuard&) = delete;
-
- private:
-  DirectionMode saved_;
-};
+inline DirectionMode direction_mode() { return direction_mode_knob().get(); }
+/// Pins direction_mode() for a scope (tests and benches).
+using DirectionModeGuard = gpu_sim::KnobGuard<direction_mode_knob>;
 
 /// Beamer's direction-optimizing switch factor: pull becomes competitive
 /// once the frontier's outgoing edges exceed 1/alpha of the edges still
@@ -501,7 +480,9 @@ class AdaptiveSpmv {
   const DegreeStats& degree_stats() const { return stats_; }
 
   std::vector<T> operator()(const std::vector<T>& x) const {
-    ctx_->note_spmv_selection(kind_, bytes_saved_per_call_);
+    ctx_->count(&gpu_sim::DeviceStats::kernel_selections, kind_,
+                &gpu_sim::DeviceStats::spmv_bytes_saved_vs_baseline,
+                bytes_saved_per_call_);
     switch (kind_) {
       case SpmvKernelKind::kCsrLoadBalanced:
         return spmv_device_lb(csr_, x, *ctx_);

@@ -7,16 +7,20 @@
 /// binaries directly).
 
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 
+#include "gpu_sim/knob.hpp"
 #include "sparse/spgemm_select.hpp"
 
+inline constexpr gpu_sim::KnobName<sparse::SpgemmMode> kSpgemmModeNames[] = {
+    {"esc", sparse::SpgemmMode::Esc},
+    {"hash", sparse::SpgemmMode::Hash},
+    {"auto", sparse::SpgemmMode::Auto}};
+
+/// The pinned strategy, or nullopt when GBTL_SPGEMM_MODE is unset or names
+/// none (the fuzz harness must know whether a pin was set).
 inline std::optional<sparse::SpgemmMode> spgemm_pin_from_env() {
   const char* pin = std::getenv("GBTL_SPGEMM_MODE");
   if (pin == nullptr) return std::nullopt;
-  if (std::strcmp(pin, "esc") == 0) return sparse::SpgemmMode::Esc;
-  if (std::strcmp(pin, "hash") == 0) return sparse::SpgemmMode::Hash;
-  if (std::strcmp(pin, "auto") == 0) return sparse::SpgemmMode::Auto;
-  return std::nullopt;
+  return gpu_sim::parse_named<kSpgemmModeNames>(pin);
 }

@@ -171,6 +171,60 @@ TYPED_TEST(AlgoExt, ColoringCompleteGraphNeedsNColors) {
   EXPECT_EQ(r.colors_used, 5u);
 }
 
+// --- validators ----------------------------------------------------------------
+
+TYPED_TEST(AlgoExt, ValidatorsRejectBrokenAnswers) {
+  constexpr IndexType kSide = 4, n = kSide * kSide;
+  auto a = gbtl_graph::to_matrix<double, TypeParam>(
+      gbtl_graph::grid2d(kSide, kSide));
+  grb::Vector<bool, TypeParam> iset(n);
+  algorithms::mis(a, iset, 3);
+  ASSERT_TRUE(algorithms::is_maximal_independent_set(a, iset));
+  // A member dropped from the set has no member neighbour: not maximal.
+  grb::IndexArrayType members;
+  std::vector<bool> flags;
+  iset.extractTuples(members, flags);
+  grb::Vector<bool, TypeParam> fewer(iset);
+  fewer.removeElement(members[0]);
+  EXPECT_FALSE(algorithms::is_maximal_independent_set(a, fewer));
+  // Every vertex in the set: not independent.
+  grb::Vector<bool, TypeParam> all(n);
+  grb::Vector<IndexType, TypeParam> same(n), checker(n);
+  for (IndexType v = 0; v < n; ++v) {
+    all.setElement(v, true);
+    same.setElement(v, 1);
+    checker.setElement(v, 1 + (v / kSide + v % kSide) % 2);
+  }
+  EXPECT_FALSE(algorithms::is_maximal_independent_set(a, all));
+  EXPECT_FALSE(algorithms::is_proper_coloring(a, same));
+  EXPECT_TRUE(algorithms::is_proper_coloring(a, checker));
+  EXPECT_TRUE(algorithms::is_bipartite(a));
+}
+
+// On a device each element read is one transfer. The validators read each
+// vector in bulk, so checking an n-vertex graph costs fewer than n d2h
+// transfers; a per-vertex or per-edge read costs at least n.
+TEST(ValidatorReadback, DeviceTransfersStayBelowVertexCount) {
+  constexpr IndexType kSide = 16, n = kSide * kSide;
+  gpu_sim::Context ctx;
+  gpu_sim::ScopedDevice bind(ctx);
+  auto a = gbtl_graph::to_matrix<double, grb::GpuSim>(
+      gbtl_graph::grid2d(kSide, kSide));
+  grb::Vector<bool, grb::GpuSim> iset(n);
+  algorithms::mis(a, iset, 3);
+  grb::Vector<IndexType, grb::GpuSim> colors(n);
+  algorithms::greedy_coloring(a, colors, 5);
+  const auto d2h = [&](auto&& check) {
+    const std::uint64_t before = ctx.stats().d2h_transfers;
+    EXPECT_TRUE(check());
+    return ctx.stats().d2h_transfers - before;
+  };
+  EXPECT_LT(d2h([&] { return algorithms::is_maximal_independent_set(a, iset); }),
+            n);
+  EXPECT_LT(d2h([&] { return algorithms::is_proper_coloring(a, colors); }), n);
+  EXPECT_LT(d2h([&] { return algorithms::is_bipartite(a); }), n);
+}
+
 // --- personalized pagerank ---------------------------------------------------
 
 TYPED_TEST(AlgoExt, PersonalizedPagerankLocalizesAroundSeed) {

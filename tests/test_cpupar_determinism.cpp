@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <random>
@@ -471,28 +470,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<int>& info) {
       return std::string(kBorrowedNames[info.param]);
     });
-
-/// The GBTL_CPUPAR_THREADS override and clamp logic of
-/// default_worker_count() — pool sizing must be predictable, since the
-/// determinism contract is what makes it *safe* to vary.
-TEST(CpuParPool, DefaultWorkerCountHonorsEnvOverride) {
-  // The harness itself may run under a GBTL_CPUPAR_THREADS override (the
-  // TSan CI stage does exactly that): stash and restore it.
-  const char* ambient = std::getenv("GBTL_CPUPAR_THREADS");
-  const std::string saved = ambient ? ambient : "";
-  unsetenv("GBTL_CPUPAR_THREADS");
-  const std::size_t base = grb::cpupar_backend::default_worker_count();
-  EXPECT_GE(base, 1u);
-  EXPECT_LE(base, 8u);
-  ASSERT_EQ(setenv("GBTL_CPUPAR_THREADS", "5", 1), 0);
-  EXPECT_EQ(grb::cpupar_backend::default_worker_count(), 5u);
-  ASSERT_EQ(setenv("GBTL_CPUPAR_THREADS", "0", 1), 0);  // invalid -> fallback
-  EXPECT_EQ(grb::cpupar_backend::default_worker_count(), base);
-  if (ambient)
-    setenv("GBTL_CPUPAR_THREADS", saved.c_str(), 1);
-  else
-    unsetenv("GBTL_CPUPAR_THREADS");
-}
 
 TEST(CpuParPool, ScopedPoolRebindsAndRestores) {
   gpu_sim::ThreadPool outer(2), inner(4);

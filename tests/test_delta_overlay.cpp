@@ -432,10 +432,11 @@ void expect_bits_equal(const grb::Vector<double, Tag>& got,
   want.extractTuples(wi, wv);
   ASSERT_EQ(gi, wi) << what << ": stored pattern differs";
   ASSERT_EQ(gv.size(), wv.size());
-  if (!wv.empty())
+  if (!wv.empty()) {
     ASSERT_EQ(std::memcmp(gv.data(), wv.data(), wv.size() * sizeof(double)),
               0)
         << what << ": value bits differ";
+  }
 }
 
 class OverlayOpsFuzz : public ::testing::TestWithParam<unsigned> {

@@ -590,14 +590,6 @@ void for_each_mask_variant(const MaskObj& m, F&& f) {
 
 class DifferentialFuzz : public ::testing::TestWithParam<unsigned> {
  protected:
-  void SetUp() override {
-    saved_chunk_ = sparse::spmv_lb_chunk();
-    // Tiny chunks force multi-team partial-row paths in the load-balanced
-    // kernel even at fuzz-sized matrices.
-    sparse::spmv_lb_chunk() = 4;
-  }
-  void TearDown() override { sparse::spmv_lb_chunk() = saved_chunk_; }
-
   static Family family_of(std::mt19937& rng) {
     switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
       case 0:
@@ -614,7 +606,9 @@ class DifferentialFuzz : public ::testing::TestWithParam<unsigned> {
   }
 
  private:
-  sparse::Index saved_chunk_ = 0;
+  // Tiny chunks force multi-team partial-row paths in the load-balanced
+  // kernel even at fuzz-sized matrices.
+  gpu_sim::KnobGuard<sparse::spmv_lb_chunk_knob> small_lb_chunks_{4};
   // Bind a real 3-worker pool for the CpuPar legs: default_worker_count()
   // is 1 on single-core CI machines, which would silently collapse every
   // CpuPar op to its serial fallback path.

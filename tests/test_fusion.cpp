@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <future>
+#include <thread>
 #include <vector>
 
 #include "algorithms/pagerank.hpp"
@@ -55,19 +56,6 @@ void run_chain(grb::Matrix<double, GpuSim>& a,
                 w, u, grb::Replace);
 }
 
-TEST(Fusion, ModeParsesFromEnvironment) {
-  EXPECT_EQ(0, setenv("GBTL_FUSION_MODE", "off", 1));
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Off);
-  setenv("GBTL_FUSION_MODE", "fuse", 1);
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Fuse);
-  setenv("GBTL_FUSION_MODE", "auto", 1);
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Auto);
-  setenv("GBTL_FUSION_MODE", "nonsense", 1);
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Auto);
-  unsetenv("GBTL_FUSION_MODE");
-  EXPECT_EQ(sparse::fusion_mode_from_env(), FusionMode::Auto);
-}
-
 TEST(Fusion, GuardPinsAndRestoresMode) {
   const FusionMode before = sparse::fusion_mode();
   {
@@ -80,6 +68,34 @@ TEST(Fusion, GuardPinsAndRestoresMode) {
     EXPECT_EQ(sparse::fusion_mode(), FusionMode::Off);
   }
   EXPECT_EQ(sparse::fusion_mode(), before);
+}
+
+// The mode is process-wide: another thread's guard can switch fusion off
+// while this thread holds a recorded op. The next op this thread runs
+// eagerly must run the pending one first, or it reads a stale output.
+TEST(Fusion, OffFromAnotherThreadRunsPendingOpsFirst) {
+  gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
+  gpu_sim::ScopedDevice bind(ctx);
+  FusionGuard fuse(FusionMode::Fuse);
+  grb::Vector<double, GpuSim> u(4), w(4), z(4);
+  u.setElement(1, 2.0);
+  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
+             [](double x) { return x + 1.0; }, u);
+  ASSERT_FALSE(sparse::op_dag().nodes.empty());  // w is pending
+
+  std::promise<void> off, done;
+  std::thread other([&] {
+    FusionGuard guard(FusionMode::Off);
+    off.set_value();
+    done.get_future().wait();
+  });
+  off.get_future().wait();
+  grb::apply(z, grb::NoMask{}, grb::NoAccumulate{},
+             [](double x) { return 2.0 * x; }, w);
+  done.set_value();
+  other.join();
+  ASSERT_TRUE(z.hasElement(1));
+  EXPECT_EQ(z.extractElement(1), 6.0);
 }
 
 TEST(Fusion, FusedChainElidesLaunchOverhead) {

@@ -1,17 +1,30 @@
 /// Unit tests for the simulated GPU runtime: memory management, transfers,
-/// kernel launches, cost-model accounting, and the Thrust-like primitive
-/// library the GBTL GPU backend is composed from.
+/// kernel launches, cost-model accounting, the counter list and the knobs,
+/// and the Thrust-like primitive library the GBTL GPU backend is composed
+/// from.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "backend_cpupar/pool.hpp"
 #include "gpu_sim/algorithms.hpp"
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_vector.hpp"
+#include "gpu_sim/knob.hpp"
 #include "gpu_sim/stream.hpp"
+#include "sparse/bitmap.hpp"
+#include "sparse/fusion_plan.hpp"
+#include "sparse/shard_plan.hpp"
+#include "sparse/spgemm_select.hpp"
+#include "sparse/spmv_select.hpp"
+#include "spgemm_pin.hpp"
 
 namespace {
 
@@ -299,6 +312,185 @@ TEST(GpuSimStream, ResetStatsKeepsLiveAllocations) {
   ctx.reset_stats();
   EXPECT_EQ(ctx.stats().bytes_in_use, 16 * sizeof(int));
   EXPECT_EQ(ctx.stats().kernel_launches, 0u);
+}
+
+// --- The counter list (gpu_sim/stats.hpp) -----------------------------------
+
+using gpu_sim::CounterKind;
+using gpu_sim::DeviceStats;
+
+/// A counter's scalars: the counter itself, or each entry of a per-variant
+/// array.
+template <typename C>
+std::vector<double> scalars(const C& c) {
+  if constexpr (std::is_arithmetic_v<C>)
+    return {static_cast<double>(c)};
+  else
+    return std::vector<double>(c.begin(), c.end());
+}
+
+TEST(GpuSimStats, DifferenceFollowsEachCountersKind) {
+  // b holds a distinct value in every scalar, a three times b's.
+  DeviceStats a, b;
+  std::uint64_t next = 1;
+  gpu_sim::for_each_counter([&](const char*, auto field, CounterKind) {
+    auto& x = b.*field;
+    auto& y = a.*field;
+    if constexpr (std::is_arithmetic_v<std::remove_reference_t<decltype(x)>>) {
+      x = next;
+      y = 3 * next++;
+    } else {
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = next;
+        y[i] = 3 * next++;
+      }
+    }
+  });
+  const DeviceStats d = a - b;
+  gpu_sim::for_each_counter([&](const char* name, auto field, CounterKind k) {
+    std::vector<double> want = scalars(a.*field);
+    if (k == CounterKind::kCumulative)
+      for (std::size_t i = 0; i < want.size(); ++i)
+        want[i] -= scalars(b.*field)[i];
+    EXPECT_EQ(scalars(d.*field), want) << name;
+  });
+}
+
+TEST(GpuSimStats, ResetFollowsEachCountersKind) {
+  auto ctx = make_ctx();
+  void* live = ctx.malloc_bytes(1000);
+  ctx.free_bytes(ctx.malloc_bytes(5000));  // the peak passes what stays live
+  ctx.pool_free(ctx.pool_alloc(256));      // the pool holds a block
+  gpu_sim::for_each_counter([&](const char*, auto field, CounterKind k) {
+    if (k != CounterKind::kCumulative) return;
+    if constexpr (std::is_arithmetic_v<
+                      std::remove_cvref_t<decltype(DeviceStats{}.*field)>>)
+      ctx.count(field, 2);
+    else
+      ctx.count(field, 1);  // one selection of variant 1
+  });
+  ctx.raise(&DeviceStats::shards_active, 4);
+  ctx.raise(&DeviceStats::shards_active, 2);  // a high-water mark only rises
+  const DeviceStats before = ctx.stats();
+  EXPECT_EQ(before.shards_active, 4u);
+  ctx.reset_stats();
+  const DeviceStats after = ctx.stats();
+  gpu_sim::for_each_counter([&](const char* name, auto field, CounterKind k) {
+    const std::vector<double> was = scalars(before.*field);
+    const std::vector<double> zero(was.size(), 0.0);
+    EXPECT_NE(was, zero) << name << " was never moved";
+    switch (k) {
+      case CounterKind::kCumulative:
+        EXPECT_EQ(scalars(after.*field), zero) << name;
+        break;
+      case CounterKind::kPointInTime:
+        EXPECT_EQ(scalars(after.*field), was) << name;
+        break;
+      case CounterKind::kHighWater:
+        // The byte peak restarts at the bytes live now, every other mark
+        // at zero.
+        EXPECT_EQ(scalars(after.*field),
+                  std::string(name) == "peak_bytes_in_use"
+                      ? scalars(after.bytes_in_use)
+                      : zero)
+            << name;
+        break;
+    }
+  });
+  EXPECT_EQ(after.bytes_in_use, 1000u);
+  ctx.free_bytes(live);
+}
+
+// --- Knobs (gpu_sim/knob.hpp) -------------------------------------------------
+
+TEST(GpuSimKnob, ParseTablesAcceptDocumentedValuesOnly) {
+  using sparse::BitMode;
+  using sparse::FusionMode;
+  using sparse::SpgemmMode;
+  const auto fusion = &gpu_sim::parse_named<sparse::kFusionModeNames>;
+  EXPECT_EQ(fusion("off"), FusionMode::Off);
+  EXPECT_EQ(fusion("fuse"), FusionMode::Fuse);
+  EXPECT_EQ(fusion("auto"), FusionMode::Auto);
+  const auto bit = &gpu_sim::parse_named<sparse::kBitModeNames>;
+  EXPECT_EQ(bit("auto"), BitMode::Auto);
+  EXPECT_EQ(bit("force"), BitMode::Force);
+  EXPECT_EQ(bit("off"), BitMode::Off);
+  const auto spgemm = &gpu_sim::parse_named<kSpgemmModeNames>;
+  EXPECT_EQ(spgemm("auto"), SpgemmMode::Auto);
+  EXPECT_EQ(spgemm("esc"), SpgemmMode::Esc);
+  EXPECT_EQ(spgemm("hash"), SpgemmMode::Hash);
+  for (const char* bad : {"", "nonsense", "OFF", "fuse ", "on"}) {
+    EXPECT_EQ(fusion(bad), std::nullopt) << bad;
+    EXPECT_EQ(bit(bad), std::nullopt) << bad;
+    EXPECT_EQ(spgemm(bad), std::nullopt) << bad;
+  }
+  // GBTL_SHARDS and GBTL_CPUPAR_THREADS: positive counts.
+  EXPECT_EQ(gpu_sim::parse_count("1"), 1u);
+  EXPECT_EQ(gpu_sim::parse_count("5"), 5u);
+  EXPECT_EQ(gpu_sim::parse_count("12"), 12u);
+  for (const char* bad : {"", "0", "-3", "x", "x5"})
+    EXPECT_EQ(gpu_sim::parse_count(bad), std::nullopt) << bad;
+}
+
+TEST(GpuSimKnob, SeedsFromItsEnvironmentVariableOnce) {
+  using sparse::FusionMode;
+  const auto parse = &gpu_sim::parse_named<sparse::kFusionModeNames>;
+  ASSERT_EQ(setenv("GBTL_TEST_KNOB", "fuse", 1), 0);
+  gpu_sim::Knob<FusionMode> fuse{FusionMode::Auto, "GBTL_TEST_KNOB", parse};
+  EXPECT_EQ(fuse.get(), FusionMode::Fuse);
+  setenv("GBTL_TEST_KNOB", "off", 1);
+  EXPECT_EQ(fuse.get(), FusionMode::Fuse) << "read once, at construction";
+  setenv("GBTL_TEST_KNOB", "sideways", 1);
+  gpu_sim::Knob<FusionMode> bad{FusionMode::Auto, "GBTL_TEST_KNOB", parse};
+  EXPECT_EQ(bad.get(), FusionMode::Auto) << "invalid value falls back";
+  setenv("GBTL_TEST_KNOB", "0", 1);
+  gpu_sim::Knob<std::size_t> zero{7, "GBTL_TEST_KNOB", &gpu_sim::parse_count};
+  EXPECT_EQ(zero.get(), 7u) << "invalid value falls back";
+  unsetenv("GBTL_TEST_KNOB");
+  gpu_sim::Knob<std::size_t> unset{7, "GBTL_TEST_KNOB", &gpu_sim::parse_count};
+  EXPECT_EQ(unset.get(), 7u);
+
+  // The library's knobs follow the same rule: GBTL_CPUPAR_THREADS, once
+  // read, no longer follows the environment.
+  const char* ambient = std::getenv("GBTL_CPUPAR_THREADS");
+  const std::string saved = ambient ? ambient : "";
+  const std::size_t workers = grb::cpupar_backend::default_worker_count();
+  EXPECT_GE(workers, 1u);
+  if (!ambient) {
+    EXPECT_LE(workers, 8u) << "hardware concurrency, clamped";
+  }
+  setenv("GBTL_CPUPAR_THREADS", workers == 5 ? "6" : "5", 1);
+  EXPECT_EQ(grb::cpupar_backend::default_worker_count(), workers);
+  if (ambient)
+    setenv("GBTL_CPUPAR_THREADS", saved.c_str(), 1);
+  else
+    unsetenv("GBTL_CPUPAR_THREADS");
+}
+
+TEST(GpuSimKnob, GuardsNestAndRestore) {
+  using sparse::SpmvMode;
+  const SpmvMode before = sparse::spmv_mode();
+  {
+    sparse::SpmvModeGuard outer(SpmvMode::ForceEll);
+    EXPECT_EQ(sparse::spmv_mode(), SpmvMode::ForceEll);
+    {
+      sparse::SpmvModeGuard inner(SpmvMode::ForceHyb);
+      EXPECT_EQ(sparse::spmv_mode(), SpmvMode::ForceHyb);
+    }
+    EXPECT_EQ(sparse::spmv_mode(), SpmvMode::ForceEll);
+  }
+  EXPECT_EQ(sparse::spmv_mode(), before);
+
+  const std::size_t shards = sparse::shard_count_override();
+  const sparse::Index chunk = sparse::spmv_lb_chunk();
+  {
+    sparse::ShardCountGuard pin(3);
+    gpu_sim::KnobGuard<sparse::spmv_lb_chunk_knob> small(4);
+    EXPECT_EQ(sparse::shard_count_override(), 3u);
+    EXPECT_EQ(sparse::spmv_lb_chunk(), 4u);
+  }
+  EXPECT_EQ(sparse::shard_count_override(), shards);
+  EXPECT_EQ(sparse::spmv_lb_chunk(), chunk);
 }
 
 // --- Primitive library ------------------------------------------------------

@@ -29,6 +29,11 @@
 #include "service/executor.hpp"
 #include "service/graph_store.hpp"
 #include "service/query.hpp"
+#include "sparse/bitmap.hpp"
+#include "sparse/fusion_plan.hpp"
+#include "sparse/shard_plan.hpp"
+#include "sparse/spgemm_select.hpp"
+#include "sparse/spmv_select.hpp"
 
 namespace {
 
@@ -95,11 +100,12 @@ void expect_bit_exact(const service::QueryResult& got,
   EXPECT_EQ(got.ivals, want.ivals) << "query " << i;
   EXPECT_EQ(got.scalar, want.scalar) << "query " << i;
   ASSERT_EQ(got.dvals.size(), want.dvals.size()) << "query " << i;
-  if (!got.dvals.empty())
+  if (!got.dvals.empty()) {
     EXPECT_EQ(std::memcmp(got.dvals.data(), want.dvals.data(),
                           got.dvals.size() * sizeof(double)),
               0)
         << "query " << i << ": double payload not bit-exact";
+  }
 }
 
 TEST(ServiceStress, ConcurrentMixedWorkloadBitExactVsSerial) {
@@ -292,8 +298,9 @@ TEST(ServiceStress, MixedDeadlinesPartitionCleanly) {
     }
     // A query born past its deadline may be shed at the door, but if it
     // reached a worker it must come back cancelled, never kOk.
-    if (workload[i].timeout == 0ms)
+    if (workload[i].timeout == 0ms) {
       EXPECT_NE(res.status, service::QueryStatus::kOk) << "query " << i;
+    }
   }
   EXPECT_EQ(failed, 0u);
   EXPECT_GT(cancelled, 0u);  // the born-expired ones that got through
@@ -407,6 +414,68 @@ TEST(ServiceStress, OversizedGraphServedThroughShardsBitExactVsSerial) {
   EXPECT_GT(stats.halo_bytes_exchanged, 0u);
   EXPECT_GT(stats.halo_seconds_hidden, 0.0)
       << "halo uploads should overlap earlier shards' kernels";
+}
+
+/// The mode knobs are process-wide, and service workers read them mid-query.
+/// While one worker serves on GpuSim and another on GpuShard, the main
+/// thread flips every knob they read through its non-default values with
+/// the guards. A knob value picks a code path, never the bits, so every
+/// result must still match the serial oracle; under ThreadSanitizer a knob
+/// that is not atomic fires as a race.
+TEST(ServiceStress, KnobFlipsUnderQueryKeepResultsBitExact) {
+  auto store = make_store();
+  const std::size_t kQueries = 40;
+  const auto workload = make_workload(kQueries);
+  std::vector<service::QueryResult> serial;
+  serial.reserve(kQueries);
+  for (const auto& req : workload)
+    serial.push_back(service::QueryExecutor::execute_serial(*store, req));
+
+  service::ExecutorOptions gpu;
+  gpu.workers = 1;
+  gpu.queue_capacity = kQueries;
+  gpu.backend_mode = service::BackendMode::kForceGpuSim;
+  service::ExecutorOptions sharded = gpu;
+  sharded.backend_mode = service::BackendMode::kForceGpuShard;
+  sharded.shard_contexts = 2;
+  service::QueryExecutor on_gpu(store, gpu);
+  service::QueryExecutor on_shards(store, sharded);
+
+  std::vector<std::future<service::QueryResult>> futures;
+  futures.reserve(kQueries);
+  for (std::size_t i = 0; i < kQueries; ++i)
+    futures.push_back((i % 2 == 0 ? on_gpu : on_shards).submit(workload[i]));
+  const auto all_done = [&] {
+    return std::all_of(futures.begin(), futures.end(), [](const auto& f) {
+      return f.wait_for(0s) == std::future_status::ready;
+    });
+  };
+
+  constexpr sparse::SpmvMode kSpmv[] = {
+      sparse::SpmvMode::ForceCsrScalar, sparse::SpmvMode::ForceCsrLoadBalanced,
+      sparse::SpmvMode::ForceEll, sparse::SpmvMode::ForceHyb};
+  std::size_t flips = 0;
+  do {
+    const bool odd = flips % 2 == 1;
+    sparse::SpmvModeGuard spmv(kSpmv[flips % 4]);
+    sparse::DirectionModeGuard direction(
+        odd ? sparse::DirectionMode::ForcePull
+            : sparse::DirectionMode::ForcePush);
+    sparse::SpgemmModeGuard spgemm(odd ? sparse::SpgemmMode::Hash
+                                       : sparse::SpgemmMode::Esc);
+    sparse::BitModeGuard bit(odd ? sparse::BitMode::Force
+                                 : sparse::BitMode::Off);
+    sparse::FusionGuard fusion(odd ? sparse::FusionMode::Fuse
+                                   : sparse::FusionMode::Off);
+    sparse::ShardCountGuard shards(odd ? 4 : 2);
+    ++flips;
+    std::this_thread::yield();
+  } while (!all_done());
+
+  for (std::size_t i = 0; i < kQueries; ++i)
+    expect_bit_exact(futures[i].get(), serial[i], i);
+  EXPECT_EQ(on_gpu.stats().ran_gpusim, kQueries / 2);
+  EXPECT_EQ(on_shards.stats().ran_gpushard, kQueries / 2);
 }
 
 // ---------------------------------------------------------------------------

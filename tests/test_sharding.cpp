@@ -48,8 +48,9 @@ TEST(ShardPlan, CoversAllRowsContiguouslyAndBalancesNnz) {
   EXPECT_EQ(plan.shards.back().row_end, 10u);
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < plan.count(); ++s) {
-    if (s > 0)
+    if (s > 0) {
       EXPECT_EQ(plan.shards[s].row_begin, plan.shards[s - 1].row_end);
+    }
     total += plan.shards[s].nnz;
   }
   EXPECT_EQ(total, 55u);
@@ -167,10 +168,11 @@ void expect_vectors_bit_exact(const grb::Vector<double, TagA>& a,
   b.extractTuples(ib, vb);
   EXPECT_EQ(ia, ib) << what << ": structure differs";
   ASSERT_EQ(va.size(), vb.size()) << what;
-  if (!va.empty())
+  if (!va.empty()) {
     EXPECT_EQ(
         std::memcmp(va.data(), vb.data(), va.size() * sizeof(double)), 0)
         << what << ": values not bit-exact";
+  }
 }
 
 // --------------------------------------------------------------------------

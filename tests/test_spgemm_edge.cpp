@@ -23,6 +23,8 @@ namespace {
 
 using grb::IndexArrayType;
 using grb::IndexType;
+using LoadTargetGuard =
+    gpu_sim::KnobGuard<sparse::spgemm_hash_load_target_knob>;
 
 struct Coo {
   IndexType nr = 0, nc = 0;
@@ -174,8 +176,7 @@ TEST(SpgemmEdge, AnalyzeSpgemmBinsBoundaryRows) {
 // full when insertion finishes, so every probe chain must terminate by key
 // match rather than by finding an empty slot.
 TEST(SpgemmEdge, HashTableAtFullLoadFactor) {
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   constexpr IndexType n = 16;
   Coo a{n, n, {}, {}, {}};
   Coo b{n, n, {}, {}, {}};
@@ -185,7 +186,6 @@ TEST(SpgemmEdge, HashTableAtFullLoadFactor) {
       b.add(i, j, static_cast<double>((3 * i + j) % 7) - 3.0);
     }
   expect_all_strategies_match(a, b);
-  sparse::spgemm_hash_load_target() = saved;
 }
 
 // Mask-seeded variant at load 1.0: rows 0..7 carry a full-row mask, so each
@@ -193,8 +193,7 @@ TEST(SpgemmEdge, HashTableAtFullLoadFactor) {
 // seeds in 16 slots); rows 8..15 have no allowed entries, so all their
 // products must be counted as mask-avoided.
 TEST(SpgemmEdge, SeededHashTableAtFullLoadFactor) {
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   constexpr IndexType n = 16;
   grb::Matrix<double, grb::GpuSim> a(n, n), b(n, n), mask(n, n);
   grb::Matrix<double, grb::Sequential> sa(n, n), sb(n, n), smask(n, n);
@@ -240,7 +239,6 @@ TEST(SpgemmEdge, SeededHashTableAtFullLoadFactor) {
   EXPECT_EQ(cr, wr);
   EXPECT_EQ(cc, wc);
   EXPECT_EQ(cv, wv);
-  sparse::spgemm_hash_load_target() = saved;
 }
 
 // --------------------------------------------------------------------------
@@ -254,11 +252,9 @@ TEST(SpgemmEdge, HashTableSlotsSizing) {
   EXPECT_EQ(sparse::hash_table_slots(1), 8u);
   EXPECT_EQ(sparse::hash_table_slots(5), 16u);
   EXPECT_EQ(sparse::hash_table_slots(64), 128u);
-  const double saved = sparse::spgemm_hash_load_target();
-  sparse::spgemm_hash_load_target() = 1.0;
+  LoadTargetGuard full_load(1.0);
   EXPECT_EQ(sparse::hash_table_slots(16), 16u);  // exactly full permitted
   EXPECT_EQ(sparse::hash_table_slots(17), 32u);
-  sparse::spgemm_hash_load_target() = saved;
 }
 
 // --------------------------------------------------------------------------
