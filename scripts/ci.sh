@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate + sanitized fuzz pass.
 #
-#   scripts/ci.sh            # full: tier-1 build/test, perfbench build,
-#                            #   bench smoke, ASan/UBSan fuzz, TSan
-#                            #   concurrency stage
+#   scripts/ci.sh            # full: tier-1 build/test, perfbench build
+#                            #   and one short analytics pass, bench
+#                            #   smoke, ASan/UBSan fuzz, TSan concurrency
+#                            #   stage
 #   scripts/ci.sh --fast     # tier-1 only
 #
 # Tier-1 is the contract every change must keep green: configure, build,
@@ -40,6 +41,20 @@ echo "==> perfbench: configure + build (${PERFBENCH_BUILD_DIR})"
 # rather than the benchmark run.
 cmake -B "${PERFBENCH_BUILD_DIR}" -S perfbench >/dev/null
 cmake --build "${PERFBENCH_BUILD_DIR}" -j "${JOBS}"
+
+echo "==> perfbench: one short analytics pass"
+# The pass compares every GpuSim result with Sequential bit for bit and
+# checks that the per-call and per-layer sums add up to the makespan; the
+# last line of its output is a JSON object whose "correct" must be true.
+ANALYTICS_TRACE_DIR=$(mktemp -d)
+ANALYTICS_LAST=$("${PERFBENCH_BUILD_DIR}/perfbench" --workload analytics \
+  --seed 1 --seconds 0.1 --trace 1 --trace-dir "${ANALYTICS_TRACE_DIR}" |
+  tail -n 1)
+rm -rf "${ANALYTICS_TRACE_DIR}"
+if ! grep -q '"correct": true' <<<"${ANALYTICS_LAST}"; then
+  echo "perfbench analytics pass is not correct: ${ANALYTICS_LAST}" >&2
+  exit 1
+fi
 
 echo "==> bench smoke"
 # One filtered small-scale pass each through the SpMV benches, the BFS

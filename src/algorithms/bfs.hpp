@@ -10,6 +10,39 @@
 
 namespace algorithms {
 
+namespace detail {
+
+/// The level loop behind bfs_level and is_bipartite: from the vertices of
+/// @p frontier, stamp depth 1, 2, ... on the (cleared) @p levels until a
+/// level reaches no new vertex.
+template <typename T, typename Tag>
+void bfs_levels_from(const grb::Matrix<T, Tag>& graph,
+                     grb::Vector<bool, Tag>& frontier,
+                     grb::Vector<grb::IndexType, Tag>& levels,
+                     const grb::ExecutionPolicy& policy) {
+  const grb::IndexType n = graph.nrows();
+  grb::IndexType depth = 0;
+  grb::IndexType visited = 0;
+  while (frontier.nvals() > 0 && depth < n) {
+    policy.checkpoint("bfs_level");
+    ++depth;
+    // Stamp the current depth on the frontier.
+    grb::assign(levels, frontier, grb::NoAccumulate{}, depth, grb::GrB_ALL);
+    // If the assign marked no vertex the frontier was entirely
+    // already-visited (empty graph / isolated source / a frontier dying on
+    // back-edges) — expanding it again could only spin until depth == n.
+    const grb::IndexType now_visited = levels.nvals();
+    if (now_visited == visited) break;
+    visited = now_visited;
+    // Expand: neighbours of the frontier that have no level yet.
+    grb::vxm(frontier, grb::complement(grb::structure(levels)),
+             grb::NoAccumulate{}, grb::LogicalSemiring<bool>{}, frontier,
+             graph, grb::Replace);
+  }
+}
+
+}  // namespace detail
+
 /// Level-BFS. On return levels[v] = hop distance from @p source + 1
 /// (source gets 1; unreachable vertices hold no value).
 ///
@@ -35,26 +68,7 @@ void bfs_level(const grb::Matrix<T, Tag>& graph, grb::IndexType source,
   levels.clear();
   grb::Vector<bool, Tag> frontier(n);
   frontier.setElement(source, true);
-
-  grb::IndexType depth = 0;
-  grb::IndexType visited = 0;
-  while (frontier.nvals() > 0 && depth < n) {
-    policy.checkpoint("bfs_level");
-    ++depth;
-    // Stamp the current depth on the frontier.
-    grb::assign(levels, frontier, grb::NoAccumulate{}, depth,
-                grb::all_indices(n));
-    // If the assign marked no vertex the frontier was entirely
-    // already-visited (empty graph / isolated source / a frontier dying on
-    // back-edges) — expanding it again could only spin until depth == n.
-    const grb::IndexType now_visited = levels.nvals();
-    if (now_visited == visited) break;
-    visited = now_visited;
-    // Expand: neighbours of the frontier that have no level yet.
-    grb::vxm(frontier, grb::complement(grb::structure(levels)),
-             grb::NoAccumulate{}, grb::LogicalSemiring<bool>{}, frontier,
-             graph, grb::Replace);
-  }
+  detail::bfs_levels_from(graph, frontier, levels, policy);
 }
 
 /// Parent-BFS. On return parents[v] = BFS-tree parent of v (the source is
@@ -89,7 +103,7 @@ void bfs_parent(const grb::Matrix<T, Tag>& graph, grb::IndexType source,
              wavefront, graph, grb::Replace);
     // Record the winning proposals as parents.
     grb::assign(parents, grb::structure(next), grb::NoAccumulate{}, next,
-                grb::all_indices(n));
+                grb::GrB_ALL);
     // The discovered vertices form the new frontier, each proposing its own
     // id in the next round.
     grb::applyIndexed(wavefront, grb::NoMask{}, grb::NoAccumulate{},
@@ -129,14 +143,12 @@ void batch_bfs_level(const grb::Matrix<T, Tag>& graph,
     frontier.build(rows, sources, ones, grb::LogicalOr<bool>{});
   }
 
-  const grb::IndexArrayType all_rows = grb::all_indices(sources.size());
-  const grb::IndexArrayType all_cols = grb::all_indices(n);
   IndexType depth = 0;
   while (frontier.nvals() > 0 && depth < n) {
     policy.checkpoint("batch_bfs_level");
     ++depth;
     grb::assign(levels, grb::structure(frontier), grb::NoAccumulate{}, depth,
-                all_rows, all_cols, grb::Merge);
+                grb::GrB_ALL, grb::GrB_ALL, grb::Merge);
     grb::mxm(frontier, grb::complement(grb::structure(levels)),
              grb::NoAccumulate{}, grb::LogicalSemiring<bool>{}, frontier,
              graph, grb::Replace);

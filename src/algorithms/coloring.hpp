@@ -37,7 +37,7 @@ ColoringResult greedy_coloring(const grb::Matrix<T, Tag>& graph,
   colors.clear();
   grb::Vector<bool, Tag> uncolored(n);
   grb::assign(uncolored, grb::NoMask{}, grb::NoAccumulate{}, true,
-              grb::all_indices(n));
+              grb::GrB_ALL);
 
   grb::Vector<double, Tag> priority(n), neighbour_max(n);
   grb::Vector<bool, Tag> winners(n), lonely(n);
@@ -83,12 +83,11 @@ ColoringResult greedy_coloring(const grb::Matrix<T, Tag>& graph,
     std::vector<bool> win_vals;
     winners.extractTuples(win_idx, win_vals);
     grb::Vector<IndexType, Tag> row(n);
-    const grb::IndexArrayType all = grb::all_indices(n);
     for (IndexType w : win_idx) {
       // Colors present among w's neighbours: gather row w of the adjacency
       // against the color vector.
       grb::extract(row, grb::NoMask{}, grb::NoAccumulate{},
-                   grb::transpose(graph), all, w, grb::Replace);
+                   grb::transpose(graph), grb::GrB_ALL, w, grb::Replace);
       grb::Vector<IndexType, Tag> neigh_colors(n);
       grb::eWiseMult(neigh_colors, grb::NoMask{}, grb::NoAccumulate{},
                      grb::Second<IndexType>{}, row, colors, grb::Replace);
@@ -106,7 +105,7 @@ ColoringResult greedy_coloring(const grb::Matrix<T, Tag>& graph,
 
     // Remove winners from the uncolored pool.
     grb::assign(uncolored, grb::structure(winners), grb::NoAccumulate{},
-                false, all, grb::Merge);
+                false, grb::GrB_ALL, grb::Merge);
     grb::select(uncolored, grb::NoMask{}, grb::NoAccumulate{},
                 [](IndexType, bool live) { return live; }, uncolored,
                 grb::Replace);

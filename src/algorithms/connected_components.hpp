@@ -3,7 +3,11 @@
 /// @file connected_components.hpp
 /// Connected components by min-label propagation: every vertex repeatedly
 /// adopts the smallest label in its closed neighbourhood (one mxv over the
-/// (min, select2nd) semiring per round) until a fixed point.
+/// (min, select2nd) semiring per round) until a fixed point. The labels
+/// rotate by swap between two vectors and the fixed-point test runs on the
+/// device, so a round moves no vector between memories.
+
+#include <utility>
 
 #include "gbtl/gbtl.hpp"
 
@@ -25,28 +29,26 @@ grb::IndexType connected_components(const grb::Matrix<T, Tag>& graph,
     throw grb::DimensionException(
         "connected_components: labels size mismatch");
 
-  // labels = iota
-  labels.clear();
-  {
-    grb::IndexArrayType idx = grb::all_indices(n);
-    std::vector<IndexType> vals(idx.begin(), idx.end());
-    labels.build(idx, vals);
-  }
+  // labels = iota: every position's own index, written on the device.
+  grb::assign(labels, grb::NoMask{}, grb::NoAccumulate{}, IndexType{0},
+              grb::GrB_ALL);
+  grb::applyIndexed(labels, grb::NoMask{}, grb::NoAccumulate{},
+                    [](IndexType i, IndexType) { return i; }, labels);
 
-  grb::Vector<IndexType, Tag> neighbour_min(n), prev(n);
+  grb::Vector<IndexType, Tag> neighbour_min(n), next(n);
   IndexType rounds = 0;
   for (IndexType k = 0; k < n; ++k) {
     policy.checkpoint("connected_components");
-    prev = labels;
     // neighbour_min[v] = min label among v's neighbours.
     grb::mxv(neighbour_min, grb::NoMask{}, grb::NoAccumulate{},
              grb::MinSelect2ndSemiring<IndexType>{}, graph, labels,
              grb::Replace);
     // Adopt the smaller of own and neighbourhood label.
-    grb::eWiseAdd(labels, grb::NoMask{}, grb::NoAccumulate{},
+    grb::eWiseAdd(next, grb::NoMask{}, grb::NoAccumulate{},
                   grb::Min<IndexType>{}, labels, neighbour_min);
     ++rounds;
-    if (labels == prev) break;
+    std::swap(labels, next);
+    if (labels == next) break;
   }
   return rounds;
 }

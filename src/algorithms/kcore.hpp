@@ -31,11 +31,11 @@ grb::IndexType kcore_decomposition(const grb::Matrix<T, Tag>& graph,
   // remaining[v] = 1 while v is unpeeled.
   grb::Vector<IndexType, Tag> remaining(n);
   grb::assign(remaining, grb::NoMask{}, grb::NoAccumulate{}, IndexType{1},
-              grb::all_indices(n));
+              grb::GrB_ALL);
 
   core.clear();
   grb::assign(core, grb::NoMask{}, grb::NoAccumulate{}, IndexType{0},
-              grb::all_indices(n));
+              grb::GrB_ALL);
 
   grb::Vector<IndexType, Tag> degree(n), peel(n);
   IndexType k = 0;
@@ -70,9 +70,9 @@ grb::IndexType kcore_decomposition(const grb::Matrix<T, Tag>& graph,
     degeneracy = k;
     // Record core number k for peeled vertices, remove them.
     grb::assign(core, grb::structure(peel), grb::NoAccumulate{}, k,
-                grb::all_indices(n), grb::Merge);
+                grb::GrB_ALL, grb::Merge);
     grb::assign(remaining, grb::structure(peel), grb::NoAccumulate{},
-                IndexType{0}, grb::all_indices(n), grb::Merge);
+                IndexType{0}, grb::GrB_ALL, grb::Merge);
     grb::select(remaining, grb::NoMask{}, grb::NoAccumulate{},
                 [](IndexType, IndexType v) { return v != 0; }, remaining,
                 grb::Replace);

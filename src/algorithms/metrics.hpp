@@ -62,7 +62,7 @@ grb::Vector<double, Tag> clustering_coefficient(
                  tri_d, deg_d);
   // Densify: vertices without entries (isolated) get 0.
   grb::assign(cc, grb::complement(grb::structure(cc)), grb::NoAccumulate{},
-              0.0, grb::all_indices(n));
+              0.0, grb::GrB_ALL);
   return cc;
 }
 
@@ -108,7 +108,7 @@ grb::Vector<double, Tag> betweenness_centrality(
 
   grb::Vector<double, Tag> bc(n);
   grb::assign(bc, grb::NoMask{}, grb::NoAccumulate{}, 0.0,
-              grb::all_indices(n));
+              grb::GrB_ALL);
 
   for (IndexType s : sources) {
     if (s >= n) throw grb::IndexOutOfBoundsException("bc: source");
@@ -136,7 +136,7 @@ grb::Vector<double, Tag> betweenness_centrality(
     // --- Backward phase: delta accumulation. ---------------------------
     grb::Vector<double, Tag> delta(n);
     grb::assign(delta, grb::NoMask{}, grb::NoAccumulate{}, 0.0,
-                grb::all_indices(n));
+                grb::GrB_ALL);
     for (std::size_t d = sigmas.size(); d-- > 1;) {
       // w = (1 + delta) / sigma on the depth-d frontier.
       grb::Vector<double, Tag> w(n);

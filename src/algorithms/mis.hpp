@@ -50,22 +50,21 @@ grb::IndexType mis(const grb::Matrix<T, Tag>& graph,
     grb::reduce(degree, grb::NoMask{}, grb::NoAccumulate{},
                 grb::PlusMonoid<double>{}, pattern);
     grb::assign(degree, grb::complement(grb::structure(degree)),
-                grb::NoAccumulate{}, 0.0, grb::all_indices(n));
+                grb::NoAccumulate{}, 0.0, grb::GrB_ALL);
   }
 
   // Candidate scores carry (index) so draws can be vertex-specific.
   grb::Vector<double, Tag> index_of(n);
-  {
-    grb::IndexArrayType idx = grb::all_indices(n);
-    std::vector<double> vals(n);
-    for (IndexType i = 0; i < n; ++i) vals[i] = static_cast<double>(i);
-    index_of.build(idx, vals);
-  }
+  grb::assign(index_of, grb::NoMask{}, grb::NoAccumulate{}, 0.0,
+              grb::GrB_ALL);
+  grb::applyIndexed(index_of, grb::NoMask{}, grb::NoAccumulate{},
+                    [](IndexType i, double) { return static_cast<double>(i); },
+                    index_of);
 
   iset.clear();
   grb::Vector<bool, Tag> candidates(n);
   grb::assign(candidates, grb::NoMask{}, grb::NoAccumulate{}, true,
-              grb::all_indices(n));
+              grb::GrB_ALL);
 
   grb::Vector<double, Tag> score(n), neighbour_max(n);
   grb::Vector<bool, Tag> winners(n), losers(n);
@@ -122,9 +121,9 @@ grb::IndexType mis(const grb::Matrix<T, Tag>& graph,
     grb::mxv(losers, grb::structure(candidates), grb::NoAccumulate{},
              grb::LogicalSemiring<bool>{}, graph, winners, grb::Replace);
     grb::assign(candidates, grb::structure(winners), grb::NoAccumulate{},
-                false, grb::all_indices(n), grb::Merge);
+                false, grb::GrB_ALL, grb::Merge);
     grb::assign(candidates, grb::structure(losers), grb::NoAccumulate{},
-                false, grb::all_indices(n), grb::Merge);
+                false, grb::GrB_ALL, grb::Merge);
     grb::select(candidates, grb::NoMask{}, grb::NoAccumulate{},
                 [](grb::IndexType, bool live) { return live; }, candidates,
                 grb::Replace);

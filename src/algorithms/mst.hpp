@@ -42,8 +42,6 @@ MstResult mst(const grb::Matrix<T, Tag>& graph,
   grb::Vector<IndexType, Tag> via(n);  // tree endpoint of that edge
   grb::Vector<T, Tag> row(n);
 
-  const grb::IndexArrayType all = grb::all_indices(n);
-
   IndexType remaining = n;
   while (remaining > 0) {
     // Pick a fresh root for the next component.
@@ -57,9 +55,10 @@ MstResult mst(const grb::Matrix<T, Tag>& graph,
 
     // Seed candidates from the root's row.
     grb::extract(row, grb::NoMask{}, grb::NoAccumulate{},
-                 grb::transpose(graph), all, root, grb::Replace);
+                 grb::transpose(graph), grb::GrB_ALL, root, grb::Replace);
     d = row;
-    grb::assign(via, grb::structure(row), grb::NoAccumulate{}, root, all);
+    grb::assign(via, grb::structure(row), grb::NoAccumulate{}, root,
+                grb::GrB_ALL);
 
     for (;;) {
       // Host-side argmin over candidates not yet in the tree.
@@ -86,7 +85,7 @@ MstResult mst(const grb::Matrix<T, Tag>& graph,
 
       // Relax: d = min(d, weights of best's row), tracking the endpoint.
       grb::extract(row, grb::NoMask{}, grb::NoAccumulate{},
-                   grb::transpose(graph), all, best, grb::Replace);
+                   grb::transpose(graph), grb::GrB_ALL, best, grb::Replace);
       // Where the new row improves d (or d has no entry), update via.
       grb::Vector<bool, Tag> improved(n);
       grb::eWiseMult(improved, grb::NoMask{}, grb::NoAccumulate{},
@@ -106,7 +105,7 @@ MstResult mst(const grb::Matrix<T, Tag>& graph,
       grb::eWiseAdd(improved, grb::NoMask{}, grb::NoAccumulate{},
                     grb::LogicalOr<bool>{}, improved, row_mask);
       grb::assign(via, grb::structure(improved), grb::NoAccumulate{}, best,
-                  all);
+                  grb::GrB_ALL);
       grb::eWiseAdd(d, grb::NoMask{}, grb::NoAccumulate{}, grb::Min<T>{}, d,
                     row);
     }

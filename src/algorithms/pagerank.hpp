@@ -24,11 +24,13 @@
 /// teleport read only `rank`, and its scalar readback is a materialization
 /// point. On GpuSim the fusion planner then replays an iteration as two
 /// dataflow chains, each one composite launch (docs/fusion_dag.md): scale →
-/// dangling rank → Σ, then vxm → damping → teleport assign → diff → |·| → Σ,
-/// with the teleport's index upload overlapping the vxm on the transfer
-/// stream.
+/// dangling rank → Σ, then vxm → damping → teleport assign → diff → |·| → Σ.
+/// The uniform teleport assigns over GrB_ALL, so it is one epilogue kernel
+/// with no index upload (a personalized teleport uploads its seed list),
+/// and `rank` and `next` rotate by swap: an iteration copies no vector.
 
 #include <algorithm>
+#include <utility>
 
 #include "gbtl/gbtl.hpp"
 
@@ -59,14 +61,14 @@ PageRankResult pagerank_run(const grb::Matrix<T, Tag>& graph,
   if (rank.size() != n)
     throw grb::DimensionException("pagerank: rank size mismatch");
 
-  const grb::IndexArrayType all = grb::all_indices(n);
-  const grb::IndexArrayType& targets = seeds != nullptr ? *seeds : all;
-  const double share = 1.0 / static_cast<double>(targets.size());
+  const grb::IndexView targets =
+      seeds != nullptr ? grb::IndexView(*seeds) : grb::IndexView(grb::GrB_ALL);
+  const double share = 1.0 / static_cast<double>(targets.over(n).size());
 
   // 1 / out-degree, where the out-degree counts stored entries whatever
   // their values. Dangling vertices get no entry.
   grb::Vector<double, Tag> ones(n), inv_degree(n);
-  grb::assign(ones, grb::NoMask{}, grb::NoAccumulate{}, 1.0, all);
+  grb::assign(ones, grb::NoMask{}, grb::NoAccumulate{}, 1.0, grb::GrB_ALL);
   grb::mxv(inv_degree, grb::NoMask{}, grb::NoAccumulate{},
            grb::PlusSelect2ndSemiring<double>{}, graph, ones);
   grb::apply(inv_degree, grb::NoMask{}, grb::NoAccumulate{},
@@ -114,7 +116,7 @@ PageRankResult pagerank_run(const grb::Matrix<T, Tag>& graph,
     double delta = 0.0;
     grb::reduce(delta, grb::NoAccumulate{}, grb::PlusMonoid<double>{}, diff);
 
-    rank = next;
+    std::swap(rank, next);
     result.iterations = it + 1;
     result.final_delta = delta;
     if (delta < tol) break;

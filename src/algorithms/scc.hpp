@@ -69,7 +69,7 @@ grb::IndexType strongly_connected_components(
   {
     grb::Vector<bool, Tag> all(n);
     grb::assign(all, grb::NoMask{}, grb::NoAccumulate{}, true,
-                grb::all_indices(n));
+                grb::GrB_ALL);
     worklist.push_back(std::move(all));
   }
 
@@ -95,7 +95,7 @@ grb::IndexType strongly_connected_components(
                    grb::LogicalAnd<bool>{}, fwd, bwd, grb::Replace);
     ++component_count;
     grb::assign(labels, grb::structure(scc), grb::NoAccumulate{}, pivot,
-                grb::all_indices(n), grb::Merge);
+                grb::GrB_ALL, grb::Merge);
 
     // Partition the remainder: region∩fwd\scc, region∩bwd\scc,
     // region\(fwd∪bwd).

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "algorithms/bfs.hpp"
+#include "algorithms/connected_components.hpp"
 #include "gbtl/gbtl.hpp"
 
 namespace algorithms {
@@ -114,22 +115,23 @@ bool is_bipartite(const grb::Matrix<T, Tag>& graph) {
   if (graph.ncols() != n)
     throw grb::DimensionException("bipartite: graph must be square");
 
-  grb::Vector<IndexType, Tag> levels(n);
-  // Run BFS per undiscovered component, keeping each vertex's highest
-  // level on the host: one bulk read per root.
+  // One BFS for every component at once, rooted at each component's
+  // smallest vertex (the vertices that keep their own label), so a graph
+  // of many components pays one level loop and one bulk read.
+  grb::Vector<IndexType, Tag> labels(n), roots(n), levels(n);
+  connected_components(graph, labels);
+  grb::select(roots, grb::NoMask{}, grb::NoAccumulate{},
+              [](IndexType i, IndexType label) { return i == label; },
+              labels);
+  grb::Vector<bool, Tag> frontier(n);
+  grb::assign(frontier, grb::structure(roots), grb::NoAccumulate{}, true,
+              grb::GrB_ALL);
+  detail::bfs_levels_from(graph, frontier, levels, grb::ExecutionPolicy{});
   std::vector<IndexType> level(n, 0);
-  std::vector<bool> discovered(n, false);
   grb::IndexArrayType idx;
   std::vector<IndexType> lvls;
-  for (IndexType v = 0; v < n; ++v) {
-    if (discovered[v]) continue;
-    bfs_level(graph, v, levels);
-    levels.extractTuples(idx, lvls);
-    for (std::size_t k = 0; k < idx.size(); ++k) {
-      discovered[idx[k]] = true;
-      level[idx[k]] = std::max(level[idx[k]], lvls[k]);
-    }
-  }
+  levels.extractTuples(idx, lvls);
+  for (std::size_t k = 0; k < idx.size(); ++k) level[idx[k]] = lvls[k];
   // Parity: side[v] = level % 2. A same-side edge breaks bipartiteness.
   grb::IndexArrayType rows, cols;
   std::vector<T> vals;

@@ -2,10 +2,16 @@
 
 /// @file sssp.hpp
 /// Single-source shortest paths over the (min, +) tropical semiring:
-/// Bellman-Ford as repeated vxm with a Min accumulator, plus a batched
-/// multi-source variant (one row per source) that maps the same recurrence
-/// onto mxm — the formulation the paper uses to show algorithm/primitive
-/// separation.
+/// Bellman-Ford as a repeated vxm whose result is min-merged with the
+/// previous distances, plus a batched multi-source variant (one row per
+/// source) that maps the same recurrence onto mxm — the formulation the
+/// paper uses to show algorithm/primitive separation.
+///
+/// Each round relaxes into a second vector and the two rotate by swap; the
+/// convergence test `==` runs on the device (one kernel, a host bool), so a
+/// round moves no vector between memories.
+
+#include <utility>
 
 #include "gbtl/gbtl.hpp"
 
@@ -31,16 +37,19 @@ grb::IndexType sssp(const grb::Matrix<T, Tag>& graph, grb::IndexType source,
   dist.clear();
   dist.setElement(source, T{0});
 
-  grb::Vector<T, Tag> prev(n);
+  grb::Vector<T, Tag> next(n);
   grb::IndexType rounds = 0;
   for (grb::IndexType k = 0; k + 1 < n; ++k) {
     policy.checkpoint("sssp");
-    prev = dist;
-    // dist = min(dist, dist min.+ A)
-    grb::vxm(dist, grb::NoMask{}, grb::Min<T>{}, grb::MinPlusSemiring<T>{},
-             dist, graph);
+    // next = min(dist, dist min.+ A): the Min accumulator's merge, with its
+    // arguments in the same order.
+    grb::vxm(next, grb::NoMask{}, grb::NoAccumulate{},
+             grb::MinPlusSemiring<T>{}, dist, graph, grb::Replace);
+    grb::eWiseAdd(next, grb::NoMask{}, grb::NoAccumulate{}, grb::Min<T>{},
+                  dist, next);
     ++rounds;
-    if (dist == prev) break;  // converged early
+    std::swap(dist, next);
+    if (dist == next) break;  // converged early
   }
   return rounds;
 }

@@ -37,7 +37,7 @@ TopoResult topological_levels(const grb::Matrix<T, Tag>& graph,
 
   grb::Vector<IndexType, Tag> remaining(n);
   grb::assign(remaining, grb::NoMask{}, grb::NoAccumulate{}, IndexType{1},
-              grb::all_indices(n));
+              grb::GrB_ALL);
   levels.clear();
 
   TopoResult result;
@@ -58,9 +58,9 @@ TopoResult topological_levels(const grb::Matrix<T, Tag>& graph,
 
     ++result.levels_used;
     grb::assign(levels, grb::structure(sources), grb::NoAccumulate{},
-                result.levels_used, grb::all_indices(n), grb::Merge);
+                result.levels_used, grb::GrB_ALL, grb::Merge);
     grb::assign(remaining, grb::structure(sources), grb::NoAccumulate{},
-                IndexType{0}, grb::all_indices(n), grb::Merge);
+                IndexType{0}, grb::GrB_ALL, grb::Merge);
     grb::select(remaining, grb::NoMask{}, grb::NoAccumulate{},
                 [](IndexType, IndexType v) { return v != 0; }, remaining,
                 grb::Replace);

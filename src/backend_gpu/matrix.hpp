@@ -380,13 +380,26 @@ class Matrix {
     gpu_sim::lower_bound(rows, needles, row_offsets_);
   }
 
+  /// Same shape and entry count (known on the host), then one device
+  /// kernel over both CSR images: equal offsets, columns, and == values.
   friend bool operator==(const Matrix& a, const Matrix& b) {
-    if (a.nrows_ != b.nrows_ || a.ncols_ != b.ncols_) return false;
-    IndexArrayType ar, ac, br, bc;
-    std::vector<T> av, bv;
-    a.extract_tuples(ar, ac, av);
-    b.extract_tuples(br, bc, bv);
-    return ar == br && ac == bc && av == bv;
+    if (a.nrows_ != b.nrows_ || a.ncols_ != b.ncols_ ||
+        a.nvals() != b.nvals())
+      return false;
+    const IndexType rows = a.nrows_ + 1, nnz = a.nvals();
+    const IndexType* ao = a.row_offsets_.data();
+    const IndexType* bo = b.row_offsets_.data();
+    const IndexType* ac = a.col_indices_.data();
+    const IndexType* bc = b.col_indices_.data();
+    const T* av = a.values_.data();
+    const T* bv = b.values_.data();
+    return gpu_sim::all_of_n(
+        *a.ctx_, std::max(rows, nnz),
+        2 * (rows * sizeof(IndexType) + nnz * (sizeof(IndexType) + sizeof(T))),
+        [=](std::size_t i) {
+          return (i >= rows || ao[i] == bo[i]) &&
+                 (i >= nnz || (ac[i] == bc[i] && av[i] == bv[i]));
+        });
   }
 
  private:

@@ -1732,17 +1732,39 @@ Matrix<T> transposed(const Matrix<T>& A) {
 // extract / assign — vectors device-native, matrices via host fallback
 // ===========================================================================
 
+namespace detail {
+
+/// assign/extract of a whole vector over GrB_ALL: every position is indexed,
+/// so the GraphBLAS Z is exactly accum(w, u) and the epilogue reads u in
+/// place. One kernel, recorded under the op's own kind, with no index array
+/// and no copy of w.
+template <typename WT, typename MObj, typename Accum, typename UT>
+void write_whole_vector(sparse::FusedOpKind kind, Vector<WT>& w,
+                        const OutputDescriptor<MObj>& out, Accum accum,
+                        const Vector<UT>& u) {
+  auto run = [&w, out, accum, &u] {
+    pipeline::write_vector(w, u.values(), u.present(), out, accum);
+  };
+  if (!sparse::record_op(kind, &w, {&u, mask_addr(out)}, w.size(),
+                         w.context(), run))
+    run();
+}
+
+}  // namespace detail
+
 template <typename WT, typename MObj, typename Accum, typename UT>
 void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
-                 Accum accum, const Vector<UT>& u,
-                 const IndexArrayType& indices) {
+                 Accum accum, const Vector<UT>& u, IndexView indices) {
   using detail::LaunchStats;
+  if (indices.is_all()) {
+    detail::write_whole_vector(sparse::FusedOpKind::kExtract, w, out, accum,
+                               u);
+    return;
+  }
   gpu_sim::Context& ctx = w.context();
-  for (IndexType src : indices)
-    if (src >= u.size())
-      throw IndexOutOfBoundsException("extract: source index");
+  indices.check_bounds(u.size(), "extract: source index");
   if (!sparse::fusion_eager()) {
-    auto idx = std::make_shared<IndexArrayType>(indices);
+    auto idx = std::make_shared<IndexArrayType>(indices.array());
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kExtract, &w,
                           {&u, detail::mask_addr(out)}, w.size(), ctx,
@@ -1757,7 +1779,7 @@ void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
   // Index upload: planner-staged on the transfer stream when this replay is
   // part of a drain (overlapped H2D), synchronous otherwise.
   gpu_sim::device_vector<IndexType> d_idx =
-      sparse::staged_or_upload(indices, ctx);
+      sparse::staged_or_upload(indices.array(), ctx);
   gpu_sim::device_vector<WT> t_vals(n, ctx);
   gpu_sim::device_vector<std::uint8_t> t_pres(n, ctx);
   gpu_sim::fill(t_pres, std::uint8_t{0});
@@ -1782,14 +1804,17 @@ void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 
 template <typename WT, typename MObj, typename Accum, typename UT>
 void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
-                const Vector<UT>& u, const IndexArrayType& indices) {
+                const Vector<UT>& u, IndexView indices) {
   using detail::LaunchStats;
+  if (indices.is_all()) {
+    detail::write_whole_vector(sparse::FusedOpKind::kAssign, w, out, accum,
+                               u);
+    return;
+  }
   gpu_sim::Context& ctx = w.context();
-  for (IndexType dst : indices)
-    if (dst >= w.size())
-      throw IndexOutOfBoundsException("assign: destination index");
+  indices.check_bounds(w.size(), "assign: destination index");
   if (!sparse::fusion_eager()) {
-    auto idx = std::make_shared<IndexArrayType>(indices);
+    auto idx = std::make_shared<IndexArrayType>(indices.array());
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kAssign, &w,
                           {&u, detail::mask_addr(out)}, w.size(), ctx,
@@ -1805,7 +1830,7 @@ void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
   gpu_sim::device_vector<WT> t_vals = w.values();
   gpu_sim::device_vector<std::uint8_t> t_pres = w.present();
   gpu_sim::device_vector<IndexType> d_idx =
-      sparse::staged_or_upload(indices, ctx);
+      sparse::staged_or_upload(indices.array(), ctx);
   const IndexType* ix = d_idx.data();
   const UT* uvv = u.values().data();
   const std::uint8_t* uvp = u.present().data();
@@ -1845,15 +1870,22 @@ void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
 
 template <typename WT, typename MObj, typename Accum>
 void assign_vec_constant(Vector<WT>& w, const OutputDescriptor<MObj>& out,
-                         Accum accum, const WT& value,
-                         const IndexArrayType& indices) {
+                         Accum accum, const WT& value, IndexView indices) {
   using detail::LaunchStats;
   gpu_sim::Context& ctx = w.context();
-  for (IndexType dst : indices)
-    if (dst >= w.size())
-      throw IndexOutOfBoundsException("assign: destination index");
+  if (indices.is_all()) {
+    // The epilogue alone, with T̃ the constant at every position.
+    auto run = [&w, out, accum, value] {
+      pipeline::write_vector_constant(w, value, out, accum);
+    };
+    if (!sparse::record_op(sparse::FusedOpKind::kAssignConstant, &w,
+                           {detail::mask_addr(out)}, w.size(), ctx, run))
+      run();
+    return;
+  }
+  indices.check_bounds(w.size(), "assign: destination index");
   if (!sparse::fusion_eager()) {
-    auto idx = std::make_shared<IndexArrayType>(indices);
+    auto idx = std::make_shared<IndexArrayType>(indices.array());
     auto staged = sparse::make_index_prefetch(idx, ctx);
     if (sparse::record_op(sparse::FusedOpKind::kAssignConstant, &w,
                           {detail::mask_addr(out)}, w.size(), ctx,
@@ -1868,7 +1900,7 @@ void assign_vec_constant(Vector<WT>& w, const OutputDescriptor<MObj>& out,
   gpu_sim::device_vector<WT> t_vals = w.values();
   gpu_sim::device_vector<std::uint8_t> t_pres = w.present();
   gpu_sim::device_vector<IndexType> d_idx =
-      sparse::staged_or_upload(indices, ctx);
+      sparse::staged_or_upload(indices.array(), ctx);
   const IndexType* ix = d_idx.data();
   WT* tv = t_vals.data();
   std::uint8_t* tp = t_pres.data();
@@ -1961,9 +1993,8 @@ void select_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
 
 template <typename CT, typename MObj, typename Accum, typename AT>
 void extract_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
-                 Accum accum, const Matrix<AT>& A,
-                 const IndexArrayType& row_indices,
-                 const IndexArrayType& col_indices) {
+                 Accum accum, const Matrix<AT>& A, IndexView row_indices,
+                 IndexView col_indices) {
   sparse::fusion_sync_all();  // not whitelisted: host fallback
   auto host_c = detail::download(C);
   const auto host_a = detail::download(A);
@@ -1976,37 +2007,41 @@ void extract_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
 
 /// Device-native column gather: one kernel binary-searches @p col within
 /// each selected row's CSR segment. (Row gathers via transpose(A) lower to
-/// this after the frontend materializes the transpose.)
+/// this after the frontend materializes the transpose.) An explicit row
+/// list is uploaded; GrB_ALL gathers row k into position k.
 template <typename WT, typename MObj, typename Accum, typename AT>
 void extract_col(Vector<WT>& w, const OutputDescriptor<MObj>& out,
-                 Accum accum, const Matrix<AT>& A,
-                 const IndexArrayType& row_indices, IndexType col) {
+                 Accum accum, const Matrix<AT>& A, IndexView row_indices,
+                 IndexType col) {
   sparse::fusion_sync_all();  // not whitelisted: writes w eagerly
   using detail::LaunchStats;
   gpu_sim::Context& ctx = w.context();
   if (col >= A.ncols())
     throw IndexOutOfBoundsException("extract: column index");
-  for (IndexType r : row_indices)
-    if (r >= A.nrows()) throw IndexOutOfBoundsException("extract: row index");
+  row_indices.check_bounds(A.nrows(), "extract: row index");
 
   const IndexType m = row_indices.size();
-  gpu_sim::device_vector<IndexType> d_rows(row_indices, ctx);  // H2D
+  const bool all = row_indices.is_all();
+  gpu_sim::device_vector<IndexType> d_rows =
+      all ? gpu_sim::device_vector<IndexType>(ctx)
+          : gpu_sim::device_vector<IndexType>(row_indices.array(), ctx);
   gpu_sim::device_vector<WT> t_vals(w.size(), ctx);
   gpu_sim::device_vector<std::uint8_t> t_pres(w.size(), ctx);
   gpu_sim::fill(t_pres, std::uint8_t{0});
 
-  const IndexType* rsel = d_rows.data();
+  const IndexType* rsel = all ? nullptr : d_rows.data();
   const IndexType* offs = A.row_offsets().data();
   const IndexType* cols = A.col_indices().data();
   const AT* vals = A.values().data();
   WT* tv = t_vals.data();
   std::uint8_t* tp = t_pres.data();
+  const std::uint64_t index_reads = all ? 7 : 8;
   ctx.launch_n(m,
                LaunchStats{8 * m,
-                           m * (8 * sizeof(IndexType) + sizeof(AT)),
+                           m * (index_reads * sizeof(IndexType) + sizeof(AT)),
                            m * (sizeof(WT) + 1)},
                [=](std::size_t k) {
-                 const IndexType r = rsel[k];
+                 const IndexType r = rsel != nullptr ? rsel[k] : k;
                  IndexType lo = offs[r], hi = offs[r + 1];
                  while (lo < hi) {
                    const IndexType mid = lo + (hi - lo) / 2;
@@ -2025,8 +2060,8 @@ void extract_col(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 
 template <typename CT, typename MObj, typename Accum, typename AT>
 void assign_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
-                const Matrix<AT>& A, const IndexArrayType& row_indices,
-                const IndexArrayType& col_indices) {
+                const Matrix<AT>& A, IndexView row_indices,
+                IndexView col_indices) {
   sparse::fusion_sync_all();  // not whitelisted: host fallback
   auto host_c = detail::download(C);
   const auto host_a = detail::download(A);
@@ -2037,32 +2072,20 @@ void assign_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
   detail::upload(C, host_c);
 }
 
-namespace detail {
-
-inline bool is_identity(const IndexArrayType& idx, IndexType n) {
-  if (idx.size() != n) return false;
-  for (IndexType i = 0; i < n; ++i)
-    if (idx[i] != i) return false;
-  return true;
-}
-
-}  // namespace detail
-
 template <typename CT, typename MObj, typename Accum>
 void assign_mat_constant(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
-                         Accum accum, const CT& value,
-                         const IndexArrayType& row_indices,
-                         const IndexArrayType& col_indices) {
+                         Accum accum, const CT& value, IndexView row_indices,
+                         IndexView col_indices) {
   sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   // Device fast path for the dominant idiom (e.g. level stamping in
-  // batched BFS): full-grid constant assign under a non-complemented mask.
+  // batched BFS): constant assign over GrB_ALL × GrB_ALL under a
+  // non-complemented mask.
   // The allowed positions are exactly the mask's (truthy) entries, so T̃'s
   // keys come straight off the mask's structure — no host round-trip.
   if constexpr (!std::is_same_v<MObj, EmptyMaskObj> &&
                 std::is_same_v<Accum, NoAccumulate>) {
     if (out.mask.mask != nullptr && !out.mask.complement &&
-        detail::is_identity(row_indices, C.nrows()) &&
-        detail::is_identity(col_indices, C.ncols())) {
+        row_indices.is_all() && col_indices.is_all()) {
       gpu_sim::Context& ctx = C.context();
       auto keys = pipeline::coo_keys(*out.mask.mask);
       if (!out.mask.structural) {

@@ -610,7 +610,7 @@ void reduce_mat_to_scalar(ST& s, Accum accum, Monoid monoid,
 template <typename WT, typename MObj, typename Accum, typename AT>
 void extract_col(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                  Accum accum, const ShardedMatrix<AT>& A,
-                 const IndexArrayType& row_indices, IndexType col) {
+                 IndexView row_indices, IndexType col) {
   gpu_backend::extract_col(w, out, accum, A.home(), row_indices, col);
 }
 

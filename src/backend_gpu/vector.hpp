@@ -245,19 +245,20 @@ class Vector {
     return present_;
   }
 
+  /// Equal presence, and == on every present value: one device kernel over
+  /// both vectors, whose bool is the only thing that reaches the host.
   friend bool operator==(const Vector& a, const Vector& b) {
     sparse::fusion_sync_if_touches(&a);
     sparse::fusion_sync_if_touches(&b);
     if (a.size_ != b.size_) return false;
-    const auto av = a.values_.to_host();
-    const auto ap = a.present_.to_host();
-    const auto bv = b.values_.to_host();
-    const auto bp = b.present_.to_host();
-    for (IndexType i = 0; i < a.size_; ++i) {
-      if (ap[i] != bp[i]) return false;
-      if (ap[i] && !(av[i] == bv[i])) return false;
-    }
-    return true;
+    const T* av = a.values_.data();
+    const T* bv = b.values_.data();
+    const std::uint8_t* ap = a.present_.data();
+    const std::uint8_t* bp = b.present_.data();
+    return gpu_sim::all_of_n(
+        *a.ctx_, a.size_, 2 * a.size_ * (sizeof(T) + 1), [=](std::size_t i) {
+          return ap[i] == bp[i] && (ap[i] == 0 || av[i] == bv[i]);
+        });
   }
 
  private:

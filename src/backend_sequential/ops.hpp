@@ -466,15 +466,17 @@ void transpose_op(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
 template <typename Exec = SerialExec, typename WT, typename MObj,
           typename Accum, typename UT>
 void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
-                 Accum accum, const Vector<UT>& u,
-                 const IndexArrayType& indices) {
+                 Accum accum, const Vector<UT>& u, IndexView indices) {
+  if (indices.is_all()) {  // T̃ is u itself
+    pipeline::write_vector<Exec>(w, u, out, accum);
+    return;
+  }
+  indices.check_bounds(u.size(), "extract: source index");
   Vector<UT> T(w.size());
   Exec::ranges(indices.size(), kVectorChunk,
                [&](std::size_t begin, std::size_t end) {
     for (IndexType k = begin; k < end; ++k) {
       const IndexType src = indices[k];
-      if (src >= u.size())
-        throw IndexOutOfBoundsException("extract: source index");
       if (u.present_unchecked(src))
         T.set_unchecked(k, u.value_unchecked(src));
     }
@@ -485,26 +487,21 @@ void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 template <typename Exec = SerialExec, typename CT, typename MObj,
           typename Accum, typename AT>
 void extract_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
-                 Accum accum, const Matrix<AT>& A,
-                 const IndexArrayType& row_indices,
-                 const IndexArrayType& col_indices) {
+                 Accum accum, const Matrix<AT>& A, IndexView row_indices,
+                 IndexView col_indices) {
+  row_indices.check_bounds(A.nrows(), "extract: row index");
+  col_indices.check_bounds(A.ncols(), "extract: column index");
   Matrix<AT> T(C.nrows(), C.ncols());
   // Position of each selected source column in the output (a source column
   // may be selected multiple times): read-only once the rows start.
   std::vector<std::vector<IndexType>> col_positions(A.ncols());
-  for (IndexType k = 0; k < col_indices.size(); ++k) {
-    if (col_indices[k] >= A.ncols())
-      throw IndexOutOfBoundsException("extract: column index");
+  for (IndexType k = 0; k < col_indices.size(); ++k)
     col_positions[col_indices[k]].push_back(k);
-  }
   Exec::ranges(row_indices.size(), kVectorChunk,
                [&](std::size_t begin, std::size_t end) {
     for (IndexType k = begin; k < end; ++k) {
-      const IndexType src = row_indices[k];
-      if (src >= A.nrows())
-        throw IndexOutOfBoundsException("extract: row index");
       typename Matrix<AT>::Row trow;
-      for (const auto& [j, v] : A.row(src))
+      for (const auto& [j, v] : A.row(row_indices[k]))
         for (IndexType dst_col : col_positions[j])
           trow.emplace_back(dst_col, v);
       std::sort(trow.begin(), trow.end(),
@@ -519,16 +516,15 @@ void extract_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
 template <typename Exec = SerialExec, typename WT, typename MObj,
           typename Accum, typename AT>
 void extract_col(Vector<WT>& w, const OutputDescriptor<MObj>& out,
-                 Accum accum, const Matrix<AT>& A,
-                 const IndexArrayType& row_indices, IndexType col) {
+                 Accum accum, const Matrix<AT>& A, IndexView row_indices,
+                 IndexType col) {
   if (col >= A.ncols())
     throw IndexOutOfBoundsException("extract: column index");
+  row_indices.check_bounds(A.nrows(), "extract: row index");
   Vector<AT> T(w.size());
   Exec::ranges(row_indices.size(), kVectorChunk,
                [&](std::size_t begin, std::size_t end) {
     for (IndexType k = begin; k < end; ++k) {
-      if (row_indices[k] >= A.nrows())
-        throw IndexOutOfBoundsException("extract: row index");
       const AT* v = A.find(row_indices[k], col);
       if (v != nullptr) T.set_unchecked(k, *v);
     }
@@ -541,11 +537,18 @@ void extract_col(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 // ===========================================================================
 // Assign resolves duplicate destination indices in submission order, so the
 // merge into Z is a serial loop; only the epilogue runs under the policy.
+// Over GrB_ALL every position is assigned exactly once, so Z is accum(w, u)
+// and the epilogue alone computes it.
 
 template <typename Exec = SerialExec, typename WT, typename MObj,
           typename Accum, typename UT>
 void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
-                const Vector<UT>& u, const IndexArrayType& indices) {
+                const Vector<UT>& u, IndexView indices) {
+  if (indices.is_all()) {
+    pipeline::write_vector<Exec>(w, u, out, accum);
+    return;
+  }
+  indices.check_bounds(w.size(), "assign: destination index");
   // Z starts as a copy of w; the subrange is overwritten (or accumulated).
   // The accumulator applies during this pre-merge, so the epilogue runs
   // without one.
@@ -553,8 +556,6 @@ void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
   constexpr bool kAccum = !std::is_same_v<Accum, NoAccumulate>;
   for (IndexType k = 0; k < indices.size(); ++k) {
     const IndexType dst = indices[k];
-    if (dst >= w.size())
-      throw IndexOutOfBoundsException("assign: destination index");
     if (u.present_unchecked(k)) {
       const WT uv = static_cast<WT>(u.value_unchecked(k));
       if (kAccum && T.present_unchecked(dst)) {
@@ -574,13 +575,17 @@ void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
 template <typename Exec = SerialExec, typename WT, typename MObj,
           typename Accum>
 void assign_vec_constant(Vector<WT>& w, const OutputDescriptor<MObj>& out,
-                         Accum accum, const WT& value,
-                         const IndexArrayType& indices) {
+                         Accum accum, const WT& value, IndexView indices) {
+  if (indices.is_all()) {
+    pipeline::write_vector<Exec>(w, pipeline::ConstantVector<WT>{value}, out,
+                                 accum);
+    return;
+  }
+  indices.check_bounds(w.size(), "assign: destination index");
   Vector<WT> T = w;
   constexpr bool kAccum = !std::is_same_v<Accum, NoAccumulate>;
-  for (IndexType dst : indices) {
-    if (dst >= w.size())
-      throw IndexOutOfBoundsException("assign: destination index");
+  for (IndexType k = 0; k < indices.size(); ++k) {
+    const IndexType dst = indices[k];
     if (kAccum && T.present_unchecked(dst)) {
       if constexpr (kAccum)
         T.set_unchecked(dst,
@@ -595,29 +600,24 @@ void assign_vec_constant(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 template <typename Exec = SerialExec, typename CT, typename MObj,
           typename Accum, typename AT>
 void assign_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
-                const Matrix<AT>& A, const IndexArrayType& row_indices,
-                const IndexArrayType& col_indices) {
+                const Matrix<AT>& A, IndexView row_indices,
+                IndexView col_indices) {
+  row_indices.check_bounds(C.nrows(), "assign: destination row");
+  col_indices.check_bounds(C.ncols(), "assign: destination column");
   constexpr bool kAccum = !std::is_same_v<Accum, NoAccumulate>;
   Matrix<CT> T = C;
   // Without accumulate the assigned subgrid is fully replaced: clear the
   // targeted positions first.
   if (!kAccum) {
-    for (IndexType ri : row_indices)
-      for (IndexType ci : col_indices) {
-        if (ri >= C.nrows() || ci >= C.ncols())
-          throw IndexOutOfBoundsException("assign: destination index");
-        T.remove_element(ri, ci);
-      }
+    for (IndexType ri = 0; ri < row_indices.size(); ++ri)
+      for (IndexType ci = 0; ci < col_indices.size(); ++ci)
+        T.remove_element(row_indices[ri], col_indices[ci]);
   }
   for (IndexType ai = 0; ai < row_indices.size(); ++ai) {
     const IndexType dst_row = row_indices[ai];
-    if (dst_row >= C.nrows())
-      throw IndexOutOfBoundsException("assign: destination row");
     for (const auto& [aj, v] : A.row(ai)) {
       if (aj >= col_indices.size()) continue;
       const IndexType dst_col = col_indices[aj];
-      if (dst_col >= C.ncols())
-        throw IndexOutOfBoundsException("assign: destination column");
       const CT cv = static_cast<CT>(v);
       if constexpr (kAccum) {
         const CT* old = T.find(dst_row, dst_col);
@@ -636,15 +636,15 @@ void assign_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
 template <typename Exec = SerialExec, typename CT, typename MObj,
           typename Accum>
 void assign_mat_constant(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
-                         Accum accum, const CT& value,
-                         const IndexArrayType& row_indices,
-                         const IndexArrayType& col_indices) {
+                         Accum accum, const CT& value, IndexView row_indices,
+                         IndexView col_indices) {
+  row_indices.check_bounds(C.nrows(), "assign: destination row");
+  col_indices.check_bounds(C.ncols(), "assign: destination column");
   constexpr bool kAccum = !std::is_same_v<Accum, NoAccumulate>;
   Matrix<CT> T = C;
-  for (IndexType ri : row_indices) {
-    for (IndexType ci : col_indices) {
-      if (ri >= C.nrows() || ci >= C.ncols())
-        throw IndexOutOfBoundsException("assign: destination index");
+  for (IndexType r = 0; r < row_indices.size(); ++r) {
+    for (IndexType c = 0; c < col_indices.size(); ++c) {
+      const IndexType ri = row_indices[r], ci = col_indices[c];
       if constexpr (kAccum) {
         const CT* old = T.find(ri, ci);
         if (old != nullptr)

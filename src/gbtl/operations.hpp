@@ -294,122 +294,131 @@ void transpose(Matrix<CT, Tag>& C, const MaskT& Mask, const Accum& accum,
 }
 
 // ===========================================================================
-// extract
+// extract / assign
 // ===========================================================================
+// Every index argument is an explicit IndexArrayType, GrB_ALL (the whole
+// dimension it indexes: u's for extract, w's or C's for assign), or an
+// IndexView of either. The parameter is a template defaulting to
+// IndexArrayType so that a braced list such as {0, 2} still binds to an
+// array.
+
+/// An index argument: anything that converts to an IndexView.
+template <typename I>
+concept IndexArgument = std::convertible_to<const I&, IndexView>;
 
 /// w = u(indices).
 template <typename WT, typename Tag, typename MaskT, typename Accum,
-          typename UT>
+          typename UT, IndexArgument Idx = IndexArrayType>
 void extract(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
-             const Vector<UT, Tag>& u, const IndexArrayType& indices,
+             const Vector<UT, Tag>& u, const Idx& indices,
              OutputControl outp = Merge) {
-  detail::check_dims(indices.size() == w.size(), "extract",
-                     "w.size != indices.size", w.size(), indices.size());
+  const IndexView idx = IndexView(indices).over(u.size());
+  detail::check_dims(idx.size() == w.size(), "extract",
+                     "w.size != indices.size", w.size(), idx.size());
   detail::check_mask_size(detail::mask_size_ok(mask, w.size()), "extract",
                           w.size());
   backend_ops<Tag>::extract_vec(w.impl(), detail::lower_output(mask, outp),
-                                accum, u.impl(), indices);
+                                accum, u.impl(), idx);
 }
 
 /// C = A(row_indices, col_indices).
 template <typename CT, typename Tag, typename MaskT, typename Accum,
-          typename AT>
+          typename AT, IndexArgument RowIdx = IndexArrayType,
+          IndexArgument ColIdx = IndexArrayType>
 void extract(Matrix<CT, Tag>& C, const MaskT& Mask, const Accum& accum,
-             const Matrix<AT, Tag>& A, const IndexArrayType& row_indices,
-             const IndexArrayType& col_indices, OutputControl outp = Merge) {
-  detail::check_dims(row_indices.size() == C.nrows(), "extract",
-                     "C.nrows != row_indices.size", C.nrows(),
-                     row_indices.size());
-  detail::check_dims(col_indices.size() == C.ncols(), "extract",
-                     "C.ncols != col_indices.size", C.ncols(),
-                     col_indices.size());
+             const Matrix<AT, Tag>& A, const RowIdx& row_indices,
+             const ColIdx& col_indices, OutputControl outp = Merge) {
+  const IndexView rows = IndexView(row_indices).over(A.nrows());
+  const IndexView cols = IndexView(col_indices).over(A.ncols());
+  detail::check_dims(rows.size() == C.nrows(), "extract",
+                     "C.nrows != row_indices.size", C.nrows(), rows.size());
+  detail::check_dims(cols.size() == C.ncols(), "extract",
+                     "C.ncols != col_indices.size", C.ncols(), cols.size());
   detail::check_mask_shape(detail::mask_shape_ok(Mask, C.nrows(), C.ncols()),
                            "extract", C.nrows(), C.ncols());
   backend_ops<Tag>::extract_mat(C.impl(), detail::lower_output(Mask, outp),
-                                accum, A.impl(), row_indices, col_indices);
+                                accum, A.impl(), rows, cols);
 }
 
 /// w = A(row_indices, col) — a single-column gather (pass transpose(A) to
 /// gather a row).
 template <typename WT, typename Tag, typename MaskT, typename Accum,
-          typename AMat>
+          typename AMat, IndexArgument Idx = IndexArrayType>
 void extract(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
-             const AMat& A, const IndexArrayType& row_indices, IndexType col,
+             const AMat& A, const Idx& row_indices, IndexType col,
              OutputControl outp = Merge) {
-  detail::check_dims(row_indices.size() == w.size(), "extract",
-                     "w.size != row_indices.size", w.size(),
-                     row_indices.size());
+  const IndexView rows = IndexView(row_indices).over(detail::nrows_of(A));
+  detail::check_dims(rows.size() == w.size(), "extract",
+                     "w.size != row_indices.size", w.size(), rows.size());
   detail::check_mask_size(detail::mask_size_ok(mask, w.size()), "extract",
                           w.size());
   auto&& a = detail::lower_operand(A);
   backend_ops<Tag>::extract_col(w.impl(), detail::lower_output(mask, outp),
-                                accum, a, row_indices, col);
+                                accum, a, rows, col);
 }
-
-// ===========================================================================
-// assign
-// ===========================================================================
 
 /// w(indices) = u.
 template <typename WT, typename Tag, typename MaskT, typename Accum,
-          typename UT>
+          typename UT, IndexArgument Idx = IndexArrayType>
 void assign(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
-            const Vector<UT, Tag>& u, const IndexArrayType& indices,
+            const Vector<UT, Tag>& u, const Idx& indices,
             OutputControl outp = Merge) {
-  detail::check_dims(indices.size() == u.size(), "assign",
-                     "u.size != indices.size", u.size(), indices.size());
+  const IndexView idx = IndexView(indices).over(w.size());
+  detail::check_dims(idx.size() == u.size(), "assign",
+                     "u.size != indices.size", u.size(), idx.size());
   detail::check_mask_size(detail::mask_size_ok(mask, w.size()), "assign",
                           w.size());
   backend_ops<Tag>::assign_vec(w.impl(), detail::lower_output(mask, outp),
-                               accum, u.impl(), indices);
+                               accum, u.impl(), idx);
 }
 
 /// w(indices) = value (scalar broadcast).
 template <typename WT, typename Tag, typename MaskT, typename Accum,
-          typename ValT>
+          typename ValT, IndexArgument Idx = IndexArrayType>
   requires std::convertible_to<ValT, WT>
 void assign(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
-            const ValT& value, const IndexArrayType& indices,
+            const ValT& value, const Idx& indices,
             OutputControl outp = Merge) {
   detail::check_mask_size(detail::mask_size_ok(mask, w.size()), "assign",
                           w.size());
-  backend_ops<Tag>::assign_vec_constant(w.impl(),
-                                        detail::lower_output(mask, outp),
-                                        accum, static_cast<WT>(value),
-                                        indices);
+  backend_ops<Tag>::assign_vec_constant(
+      w.impl(), detail::lower_output(mask, outp), accum,
+      static_cast<WT>(value), IndexView(indices).over(w.size()));
 }
 
 /// C(row_indices, col_indices) = A.
 template <typename CT, typename Tag, typename MaskT, typename Accum,
-          typename AT>
+          typename AT, IndexArgument RowIdx = IndexArrayType,
+          IndexArgument ColIdx = IndexArrayType>
 void assign(Matrix<CT, Tag>& C, const MaskT& Mask, const Accum& accum,
-            const Matrix<AT, Tag>& A, const IndexArrayType& row_indices,
-            const IndexArrayType& col_indices, OutputControl outp = Merge) {
-  detail::check_dims(row_indices.size() == A.nrows(), "assign",
-                     "A.nrows != row_indices.size", A.nrows(),
-                     row_indices.size());
-  detail::check_dims(col_indices.size() == A.ncols(), "assign",
-                     "A.ncols != col_indices.size", A.ncols(),
-                     col_indices.size());
+            const Matrix<AT, Tag>& A, const RowIdx& row_indices,
+            const ColIdx& col_indices, OutputControl outp = Merge) {
+  const IndexView rows = IndexView(row_indices).over(C.nrows());
+  const IndexView cols = IndexView(col_indices).over(C.ncols());
+  detail::check_dims(rows.size() == A.nrows(), "assign",
+                     "A.nrows != row_indices.size", A.nrows(), rows.size());
+  detail::check_dims(cols.size() == A.ncols(), "assign",
+                     "A.ncols != col_indices.size", A.ncols(), cols.size());
   detail::check_mask_shape(detail::mask_shape_ok(Mask, C.nrows(), C.ncols()),
                            "assign", C.nrows(), C.ncols());
   backend_ops<Tag>::assign_mat(C.impl(), detail::lower_output(Mask, outp),
-                               accum, A.impl(), row_indices, col_indices);
+                               accum, A.impl(), rows, cols);
 }
 
 /// C(row_indices, col_indices) = value (scalar broadcast).
 template <typename CT, typename Tag, typename MaskT, typename Accum,
-          typename ValT>
+          typename ValT, IndexArgument RowIdx = IndexArrayType,
+          IndexArgument ColIdx = IndexArrayType>
   requires std::convertible_to<ValT, CT>
 void assign(Matrix<CT, Tag>& C, const MaskT& Mask, const Accum& accum,
-            const ValT& value, const IndexArrayType& row_indices,
-            const IndexArrayType& col_indices, OutputControl outp = Merge) {
+            const ValT& value, const RowIdx& row_indices,
+            const ColIdx& col_indices, OutputControl outp = Merge) {
   detail::check_mask_shape(detail::mask_shape_ok(Mask, C.nrows(), C.ncols()),
                            "assign", C.nrows(), C.ncols());
-  backend_ops<Tag>::assign_mat_constant(C.impl(),
-                                        detail::lower_output(Mask, outp),
-                                        accum, static_cast<CT>(value),
-                                        row_indices, col_indices);
+  backend_ops<Tag>::assign_mat_constant(
+      C.impl(), detail::lower_output(Mask, outp), accum,
+      static_cast<CT>(value), IndexView(row_indices).over(C.nrows()),
+      IndexView(col_indices).over(C.ncols()));
 }
 
 // ===========================================================================
@@ -479,7 +488,8 @@ void select(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
 /// nothing is pending, so it is always safe to call.
 inline void wait() { sparse::fusion_sync_all(); }
 
-/// [0, 1, ..., n-1] — the "all indices" argument for extract/assign.
+/// [0, 1, ..., n-1] as an explicit array, for callers that need a real
+/// one; to select a whole dimension in extract/assign, pass GrB_ALL.
 inline IndexArrayType all_indices(IndexType n) {
   IndexArrayType out(n);
   for (IndexType i = 0; i < n; ++i) out[i] = i;

@@ -87,6 +87,54 @@ class InvalidValueException : public GraphBLASError {
 };
 
 // --------------------------------------------------------------------------
+// Index arguments of assign / extract
+// --------------------------------------------------------------------------
+
+/// The GraphBLAS C API's GrB_ALL: as an assign/extract index argument it
+/// selects every position of the dimension it indexes, in order. No index
+/// array is built, bounds-checked or uploaded for it.
+struct AllIndices {};
+inline constexpr AllIndices GrB_ALL{};
+
+/// An index argument as the backends see it: a borrowed explicit array, or
+/// GrB_ALL bound to the extent of the dimension it indexes. `indices[k]` is
+/// the k-th selected position either way, so one op body serves both, and
+/// is_all() lets a body skip the array altogether.
+class IndexView {
+ public:
+  IndexView(const IndexArrayType& indices)
+      : array_(&indices), size_(indices.size()) {}
+  IndexView(AllIndices) {}
+
+  /// This view with GrB_ALL bound to @p extent, the size of the dimension
+  /// it indexes (the frontend binds it); an explicit array keeps its length.
+  IndexView over(IndexType extent) const {
+    IndexView v = *this;
+    if (v.is_all()) v.size_ = extent;
+    return v;
+  }
+
+  bool is_all() const { return array_ == nullptr; }
+  IndexType size() const { return size_; }
+  IndexType operator[](IndexType k) const {
+    return array_ != nullptr ? (*array_)[k] : k;
+  }
+  /// The explicit array; only valid when !is_all().
+  const IndexArrayType& array() const { return *array_; }
+
+  /// Throws when an explicit index is >= @p bound; GrB_ALL never is.
+  void check_bounds(IndexType bound, const char* what) const {
+    if (array_ == nullptr) return;
+    for (IndexType i : *array_)
+      if (i >= bound) throw IndexOutOfBoundsException(what);
+  }
+
+ private:
+  const IndexArrayType* array_ = nullptr;
+  IndexType size_ = 0;
+};
+
+// --------------------------------------------------------------------------
 // Internal helpers shared by frontend dimension checks
 // --------------------------------------------------------------------------
 

@@ -106,6 +106,17 @@ std::size_t count_if(const device_vector<T>& v, Pred pred) {
   return n;
 }
 
+/// Does pred(i) hold for every i < n? One kernel reading @p bytes_read, its
+/// bool result a scalar readback charged like count_if's.
+template <typename Pred>
+bool all_of_n(Context& ctx, std::size_t n, std::uint64_t bytes_read,
+              Pred pred) {
+  bool all = true;
+  for (std::size_t i = 0; i < n && all; ++i) all = pred(i);
+  ctx.account_kernel(LaunchStats{n, bytes_read, 64});
+  return all;
+}
+
 // ---------------------------------------------------------------------------
 // Scans
 // ---------------------------------------------------------------------------

@@ -163,35 +163,77 @@ void write_vector(WVec& w, const TVec& T, const OutputDescriptor<MObj>& out,
   });
 }
 
+/// T̃ of a scalar assign over GrB_ALL: every position holds @p value. Serves
+/// both epilogues (it is copyable into device kernels).
+template <typename T>
+struct ConstantVector {
+  using ScalarType = T;
+  T value;
+  bool present_unchecked(IndexType) const { return true; }
+  T value_unchecked(IndexType) const { return value; }
+};
+
 // ===========================================================================
 // Device-side mask plumbing
 // ===========================================================================
 
+/// Device-side vector mask probe: allows(i) reads the mask's presence byte
+/// (and, for a value mask, its value) in place. Copyable into kernels.
+template <typename MV>
+struct VectorMaskProbe {
+  const std::uint8_t* pres = nullptr;
+  const MV* vals = nullptr;
+  bool structural = false;
+  bool complement = false;
+  bool unmasked = true;
+
+  bool operator()(IndexType i) const {
+    if (unmasked) return true;
+    const bool present =
+        pres[i] != 0 && (structural || static_cast<bool>(vals[i]));
+    return complement ? !present : present;
+  }
+
+  /// Mask bytes one position's test reads.
+  std::uint64_t bytes_per_item() const {
+    if (unmasked) return 0;
+    return structural ? 1 : 1 + sizeof(MV);
+  }
+};
+
+template <typename MObj>
+auto vector_mask_probe(const MaskDesc<MObj>& m) {
+  if constexpr (std::is_same_v<MObj, EmptyMaskObj>) {
+    (void)m;
+    return VectorMaskProbe<std::uint8_t>{};  // unmasked
+  } else {
+    using MV = typename MObj::ScalarType;
+    VectorMaskProbe<MV> probe;
+    if (m.mask == nullptr) return probe;
+    probe.pres = m.mask->present().data();
+    probe.vals = m.mask->values().data();
+    probe.structural = m.structural;
+    probe.complement = m.complement;
+    probe.unmasked = false;
+    return probe;
+  }
+}
+
 /// Presence flags (post complement/structural interpretation) for a vector
-/// mask, as a device bitmap.
+/// mask, as a device bitmap: for kernels that select positions from the
+/// mask up front rather than test each one.
 template <typename MObj>
 gpu_sim::device_vector<std::uint8_t> vector_mask_flags(
     gpu_sim::Context& ctx, const MaskDesc<MObj>& m, IndexType n) {
   gpu_sim::device_vector<std::uint8_t> flags(n, ctx);
-  if constexpr (std::is_same_v<MObj, EmptyMaskObj>) {
+  const auto allows = vector_mask_probe(m);
+  if (allows.unmasked) {
     gpu_sim::fill(flags, std::uint8_t{1});
-  } else {
-    if (m.mask == nullptr) {
-      gpu_sim::fill(flags, std::uint8_t{1});
-      return flags;
-    }
-    const std::uint8_t* pres = m.mask->present().data();
-    const auto* vals = m.mask->values().data();
-    std::uint8_t* out = flags.data();
-    const bool structural = m.structural;
-    const bool complement = m.complement;
-    ctx.launch_n(n, gpu_sim::LaunchStats{n, n * 2, n},
-                 [=](std::size_t i) {
-                   bool a = pres[i] != 0 &&
-                            (structural || static_cast<bool>(vals[i]));
-                   out[i] = static_cast<std::uint8_t>(complement ? !a : a);
-                 });
+    return flags;
   }
+  std::uint8_t* out = flags.data();
+  ctx.launch_n(n, gpu_sim::LaunchStats{n, n * allows.bytes_per_item(), n},
+               [=](std::size_t i) { out[i] = allows(i) ? 1 : 0; });
   return flags;
 }
 
@@ -269,36 +311,67 @@ gpu_sim::device_vector<IndexType> coo_keys(const AMat& A) {
 // Device epilogues
 // ===========================================================================
 
-/// Vector epilogue as one fused elementwise kernel: mask flags, accumulate
-/// merge and replace handling in a single pass over the dense storage.
-template <typename WVec, typename TT, typename MObj, typename Accum>
-void write_vector(WVec& w, const gpu_sim::device_vector<TT>& t_vals,
-                  const gpu_sim::device_vector<std::uint8_t>& t_pres,
-                  const OutputDescriptor<MObj>& out, Accum accum) {
+/// T̃ as dense device arrays, in the ConstantVector interface.
+template <typename TT>
+struct DeviceDenseVector {
+  using ScalarType = TT;
+  const TT* vals;
+  const std::uint8_t* pres;
+  bool present_unchecked(IndexType i) const { return pres[i] != 0; }
+  TT value_unchecked(IndexType i) const { return vals[i]; }
+};
+
+/// Vector epilogue as one fused elementwise kernel: the mask is read in
+/// place, and the accumulate merge and replace handling run in the same
+/// pass over the dense storage. @p t_bytes is what T̃ costs to read per
+/// position.
+template <typename WVec, typename TVec, typename MObj, typename Accum>
+void write_vector_kernel(WVec& w, const TVec t, std::uint64_t t_bytes,
+                         const OutputDescriptor<MObj>& out, Accum accum) {
   using WT = typename WVec::ScalarType;
   gpu_sim::Context& ctx = w.context();
   const IndexType n = w.size();
-  auto flags = vector_mask_flags(ctx, out.mask, n);
+  const auto allows = vector_mask_probe(out.mask);
   WT* wv = w.values().data();
   std::uint8_t* wp = w.present().data();
-  const TT* tv = t_vals.data();
-  const std::uint8_t* tp = t_pres.data();
-  const std::uint8_t* f = flags.data();
   const bool replace = out.replace;
   const Accum acc_op = accum;
   ctx.launch_n(
       n,
-      gpu_sim::LaunchStats{3 * n, n * (sizeof(WT) + sizeof(TT) + 3),
-                           n * (sizeof(WT) + 1)},
+      gpu_sim::LaunchStats{
+          3 * n, n * (sizeof(WT) + 1 + t_bytes + allows.bytes_per_item()),
+          n * (sizeof(WT) + 1)},
       [=](std::size_t i) {
+        // T̃'s value is read only where T̃ holds an entry: elsewhere its
+        // storage may be uninitialized.
+        const bool has_t = t.present_unchecked(i);
         const auto entry =
-            f[i] ? write_rules::resolve_allowed(acc_op, wp[i] != 0, wv[i],
-                                                tp[i] != 0, tv[i])
-                 : write_rules::resolve_disallowed(replace, wp[i] != 0,
-                                                   wv[i]);
+            allows(i) ? write_rules::resolve_allowed(
+                            acc_op, wp[i] != 0, wv[i], has_t,
+                            has_t ? t.value_unchecked(i)
+                                  : typename TVec::ScalarType{})
+                      : write_rules::resolve_disallowed(replace, wp[i] != 0,
+                                                        wv[i]);
         wv[i] = entry.present ? entry.value : WT{};
         wp[i] = entry.present ? 1 : 0;
       });
+}
+
+/// The epilogue over a T̃ held as dense value and presence arrays.
+template <typename WVec, typename TT, typename MObj, typename Accum>
+void write_vector(WVec& w, const gpu_sim::device_vector<TT>& t_vals,
+                  const gpu_sim::device_vector<std::uint8_t>& t_pres,
+                  const OutputDescriptor<MObj>& out, Accum accum) {
+  write_vector_kernel(w, DeviceDenseVector<TT>{t_vals.data(), t_pres.data()},
+                      sizeof(TT) + 1, out, accum);
+}
+
+/// The epilogue over a T̃ that holds @p value at every position.
+template <typename WVec, typename MObj, typename Accum>
+void write_vector_constant(WVec& w, const typename WVec::ScalarType& value,
+                           const OutputDescriptor<MObj>& out, Accum accum) {
+  write_vector_kernel(w, ConstantVector<typename WVec::ScalarType>{value}, 0,
+                      out, accum);
 }
 
 /// Matrix epilogue: serial merge of C's and T̃'s sorted COO streams under

@@ -223,6 +223,16 @@ TEST(ValidatorReadback, DeviceTransfersStayBelowVertexCount) {
             n);
   EXPECT_LT(d2h([&] { return algorithms::is_proper_coloring(a, colors); }), n);
   EXPECT_LT(d2h([&] { return algorithms::is_bipartite(a); }), n);
+  // Many components cost no more than one: one BFS runs from every
+  // component's root and its levels are read once.
+  gbtl_graph::EdgeList pairs;
+  pairs.num_vertices = n;
+  for (IndexType v = 0; v < n; v += 2) {
+    pairs.src.insert(pairs.src.end(), {v, v + 1});
+    pairs.dst.insert(pairs.dst.end(), {v + 1, v});
+  }
+  auto matching = gbtl_graph::to_matrix<double, grb::GpuSim>(pairs);
+  EXPECT_LE(d2h([&] { return algorithms::is_bipartite(matching); }), 8u);
 }
 
 // --- personalized pagerank ---------------------------------------------------

@@ -361,20 +361,22 @@ TEST_P(Equivalence, ResizeShrinkGrow) {
 }
 
 TEST_P(Equivalence, MaskedConstantAssignFastPath) {
-  // The GPU fast path for full-grid masked constant assign must agree with
-  // the sequential reference for value and structural masks.
+  // The GPU fast path for masked constant assign over GrB_ALL × GrB_ALL
+  // must agree with the sequential reference, given the explicit identity
+  // arrays, for value and structural masks.
   const IndexType n = dim();
   auto [sc, gc] = random_matrix<double>(n, n);
   auto [sm, gm] = random_matrix<std::uint8_t>(n, n);
   const auto rows = grb::all_indices(n);
+  const auto all = grb::GrB_ALL;
   grb::assign(sc, sm, NoAccumulate{}, 7.5, rows, rows, grb::Merge);
-  grb::assign(gc, gm, NoAccumulate{}, 7.5, rows, rows, grb::Merge);
+  grb::assign(gc, gm, NoAccumulate{}, 7.5, all, all, grb::Merge);
   expect_same(sc, gc);
 
   auto [sc2, gc2] = random_matrix<double>(n, n);
   grb::assign(sc2, grb::structure(sm), NoAccumulate{}, -1.25, rows, rows,
               grb::Replace);
-  grb::assign(gc2, grb::structure(gm), NoAccumulate{}, -1.25, rows, rows,
+  grb::assign(gc2, grb::structure(gm), NoAccumulate{}, -1.25, all, all,
               grb::Replace);
   expect_same(sc2, gc2);
 }

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "algorithms/bfs.hpp"
+#include "algorithms/connected_components.hpp"
 #include "algorithms/pagerank.hpp"
+#include "algorithms/sssp.hpp"
 #include "algorithms/triangle_count.hpp"
 #include "gbtl/gbtl.hpp"
 #include "gpu_sim/context.hpp"
@@ -79,6 +83,99 @@ TEST(GpuResidency, ExtractElementIsATransfer) {
   const auto delta =
       run_and_measure([&] { EXPECT_DOUBLE_EQ(a.extractElement(1, 2), 5.0); });
   EXPECT_GT(delta.d2h_transfers, 0u);
+}
+
+// operator== is a convergence test: it must run on the device, and answer
+// exactly as the Sequential backend's does.
+TEST(GpuResidency, EqualityRunsOnDeviceAndAgreesWithSequential) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Tuples {
+    grb::IndexArrayType rows, cols;
+    std::vector<double> vals;
+  };
+  const auto compare = [](const char* name, const auto& seq_a,
+                          const auto& seq_b, const auto& gpu_a,
+                          const auto& gpu_b) {
+    bool gpu_equal = false;
+    const auto delta = run_and_measure([&] { gpu_equal = gpu_a == gpu_b; });
+    EXPECT_EQ(gpu_equal, seq_a == seq_b) << name;
+    EXPECT_EQ(delta.d2h_transfers, 0u) << name;
+  };
+
+  const std::pair<const char*, std::pair<Tuples, Tuples>> vector_cases[] = {
+      {"equal", {{{0, 3}, {}, {1.0, 2.0}}, {{0, 3}, {}, {1.0, 2.0}}}},
+      {"presence only",
+       {{{0, 3}, {}, {1.0, 0.0}}, {{0, 3, 5}, {}, {1.0, 0.0, 0.0}}}},
+      {"one value", {{{0, 3}, {}, {1.0, 2.0}}, {{0, 3}, {}, {1.0, 2.5}}}},
+      {"NaN", {{{0, 3}, {}, {nan, 2.0}}, {{0, 3}, {}, {nan, 2.0}}}},
+      {"signed zero", {{{0, 3}, {}, {-0.0, 2.0}}, {{0, 3}, {}, {0.0, 2.0}}}},
+  };
+  for (const auto& [name, ab] : vector_cases) {
+    grb::Vector<double, grb::Sequential> sa(6), sb(6);
+    grb::Vector<double, grb::GpuSim> ga(6), gb(6);
+    sa.build(ab.first.rows, ab.first.vals);
+    sb.build(ab.second.rows, ab.second.vals);
+    ga.build(ab.first.rows, ab.first.vals);
+    gb.build(ab.second.rows, ab.second.vals);
+    compare(name, sa, sb, ga, gb);
+  }
+
+  const std::pair<const char*, std::pair<Tuples, Tuples>> matrix_cases[] = {
+      {"equal",
+       {{{0, 2}, {1, 3}, {1.0, 2.0}}, {{0, 2}, {1, 3}, {1.0, 2.0}}}},
+      {"structure only",
+       {{{0, 2}, {1, 3}, {1.0, 2.0}}, {{0, 3}, {1, 2}, {1.0, 2.0}}}},
+      {"one entry more",
+       {{{0, 2}, {1, 3}, {1.0, 2.0}}, {{0, 2, 3}, {1, 3, 0}, {1.0, 2.0, 0.0}}}},
+      {"one value",
+       {{{0, 2}, {1, 3}, {1.0, 2.0}}, {{0, 2}, {1, 3}, {1.0, 2.5}}}},
+      {"NaN", {{{0, 2}, {1, 3}, {nan, 2.0}}, {{0, 2}, {1, 3}, {nan, 2.0}}}},
+      {"signed zero",
+       {{{0, 2}, {1, 3}, {-0.0, 2.0}}, {{0, 2}, {1, 3}, {0.0, 2.0}}}},
+  };
+  for (const auto& [name, ab] : matrix_cases) {
+    grb::Matrix<double, grb::Sequential> sa(4, 4), sb(4, 4);
+    grb::Matrix<double, grb::GpuSim> ga(4, 4), gb(4, 4);
+    sa.build(ab.first.rows, ab.first.cols, ab.first.vals);
+    sb.build(ab.second.rows, ab.second.cols, ab.second.vals);
+    ga.build(ab.first.rows, ab.first.cols, ab.first.vals);
+    gb.build(ab.second.rows, ab.second.cols, ab.second.vals);
+    compare(name, sa, sb, ga, gb);
+  }
+}
+
+TEST(GpuCostShape, LoopControlCostsNoTransfer) {
+  // Convergence tests, iterate rotation and whole-vector assigns stay on
+  // the device: a traversal or relaxation pays only its seed's setElement
+  // (value and presence), and PageRank uploads and copies nothing.
+  gpu_sim::Context ctx;
+  gpu_sim::ScopedDevice bind(ctx);
+  auto a = gbtl_graph::to_matrix<double, grb::GpuSim>(
+      gbtl_graph::deduplicate(gbtl_graph::symmetrize(
+          gbtl_graph::remove_self_loops(gbtl_graph::rmat(10, 16, 13)))));
+  const IndexType n = a.nrows();
+  const auto measure = [&](const std::function<void()>& work) {
+    const auto before = ctx.stats();
+    work();
+    return ctx.stats() - before;
+  };
+  grb::Vector<IndexType, grb::GpuSim> levels(n), labels(n);
+  grb::Vector<double, grb::GpuSim> dist(n), rank(n);
+  const std::pair<const char*, gpu_sim::DeviceStats> seeded[] = {
+      {"bfs_level", measure([&] { algorithms::bfs_level(a, 0, levels); })},
+      {"sssp", measure([&] { algorithms::sssp(a, 0, dist); })},
+      {"connected_components",
+       measure([&] { algorithms::connected_components(a, labels); })},
+  };
+  for (const auto& [name, d] : seeded) {
+    EXPECT_EQ(d.d2h_transfers, 0u) << name;
+    EXPECT_EQ(d.d2d_copies, 0u) << name;
+    EXPECT_LE(d.h2d_transfers, 2u) << name;
+  }
+  const auto pr = measure(
+      [&] { algorithms::pagerank(a, rank, 0.85, /*tol=*/0.0, 10); });
+  EXPECT_EQ(pr.h2d_transfers, 0u);
+  EXPECT_EQ(pr.d2d_copies, 0u);
 }
 
 TEST(GpuCostShape, LargeMxvBeatsManySmallOnes) {

@@ -7,7 +7,10 @@
 /// differentially: the GpuSim backend must produce the sequential backend's
 /// result pattern- and value-exactly, and CpuPar must reproduce its bytes
 /// at 1 and 4 workers. (The sequential backend's own semantics are pinned
-/// against an independent reference model in test_mask_sweep.cpp.)
+/// against an independent reference model in test_mask_sweep.cpp.) Matrix
+/// assign (from a matrix and from a scalar) and extract run the same sweep
+/// with GrB_ALL as the rows, the columns or both: on every backend each
+/// result must be byte-identical to the call with explicit identity arrays.
 
 #include <gtest/gtest.h>
 
@@ -63,10 +66,33 @@ Problem<Tag> make_problem(unsigned seed) {
   return p;
 }
 
+/// Call @p call(mask, accum) with the runtime-selected mask and accumulator.
+template <typename Tag, typename Call>
+void with_mask_accum(const Problem<Tag>& p, MaskKind mk, AccumKind ak,
+                     Call&& call) {
+  auto with_mask = [&](const auto& acc) {
+    switch (mk) {
+      case MaskKind::None: call(grb::NoMask{}, acc); break;
+      case MaskKind::Value: call(p.mask, acc); break;
+      case MaskKind::Structure: call(grb::structure(p.mask), acc); break;
+      case MaskKind::ComplementValue:
+        call(grb::complement(p.mask), acc);
+        break;
+      case MaskKind::ComplementStructure:
+        call(grb::complement(grb::structure(p.mask)), acc);
+        break;
+    }
+  };
+  if (ak == AccumKind::None)
+    with_mask(grb::NoAccumulate{});
+  else
+    with_mask(grb::Plus<double>{});
+}
+
 template <typename Tag>
 void run_op(Problem<Tag>& p, OpKind op, MaskKind mk, AccumKind ak,
             grb::OutputControl outp) {
-  auto call = [&](const auto& m, const auto& acc) {
+  with_mask_accum(p, mk, ak, [&](const auto& m, const auto& acc) {
     switch (op) {
       case OpKind::Mxm:
         grb::mxm(p.c0, m, acc, grb::ArithmeticSemiring<double>{}, p.a, p.b,
@@ -86,24 +112,7 @@ void run_op(Problem<Tag>& p, OpKind op, MaskKind mk, AccumKind ak,
                     p.a, outp);
         break;
     }
-  };
-  auto with_mask = [&](const auto& acc) {
-    switch (mk) {
-      case MaskKind::None: call(grb::NoMask{}, acc); break;
-      case MaskKind::Value: call(p.mask, acc); break;
-      case MaskKind::Structure: call(grb::structure(p.mask), acc); break;
-      case MaskKind::ComplementValue:
-        call(grb::complement(p.mask), acc);
-        break;
-      case MaskKind::ComplementStructure:
-        call(grb::complement(grb::structure(p.mask)), acc);
-        break;
-    }
-  };
-  if (ak == AccumKind::None)
-    with_mask(grb::NoAccumulate{});
-  else
-    with_mask(grb::Plus<double>{});
+  });
 }
 
 void expect_same(const grb::Matrix<double, grb::GpuSim>& got,
@@ -186,6 +195,88 @@ TEST_P(MatrixMaskSweep, CpuParMatchesSequentialBytes) {
         << "workers " << workers;
   }
 }
+
+// --- GrB_ALL against the explicit identity arrays ---------------------------
+
+enum class IndexForm { Assign, AssignScalar, Extract };
+
+using IndexCombo = std::tuple<int /*form*/, int /*mask*/, int /*accum*/,
+                              int /*replace*/, unsigned /*seed*/>;
+
+class MatrixIndexSweep : public ::testing::TestWithParam<IndexCombo> {};
+
+std::string index_combo_name(
+    const ::testing::TestParamInfo<IndexCombo>& info) {
+  static const char* form_names[] = {"Assign", "AssignScalar", "Extract"};
+  static const char* mask_names[] = {"NoMask", "Value", "Structure",
+                                     "ComplValue", "ComplStructure"};
+  return std::string(form_names[std::get<0>(info.param)]) + "_" +
+         mask_names[std::get<1>(info.param)] +
+         (std::get<2>(info.param) ? "_PlusAccum" : "_NoAccum") +
+         (std::get<3>(info.param) ? "_Replace" : "_Merge") + "_s" +
+         std::to_string(std::get<4>(info.param));
+}
+
+/// Run the combo's form on a fresh problem of backend Tag with the given
+/// row and column index arguments; returns the output's bytes.
+template <typename Tag, typename RowIdx, typename ColIdx>
+Tuples run_index_form(const IndexCombo& c, const RowIdx& rows,
+                      const ColIdx& cols) {
+  const auto [formi, mki, aki, repi, seed] = c;
+  auto p = make_problem<Tag>(seed * 7919u + formi * 1031u + mki * 131u +
+                             aki * 17u + repi);
+  const grb::OutputControl outp = repi ? grb::Replace : grb::Merge;
+  with_mask_accum(p, static_cast<MaskKind>(mki), static_cast<AccumKind>(aki),
+                  [&](const auto& m, const auto& acc) {
+    switch (static_cast<IndexForm>(formi)) {
+      case IndexForm::Assign:
+        grb::assign(p.c0, m, acc, p.a, rows, cols, outp);
+        break;
+      case IndexForm::AssignScalar:
+        grb::assign(p.c0, m, acc, 2.5, rows, cols, outp);
+        break;
+      case IndexForm::Extract:
+        grb::extract(p.c0, m, acc, p.a, rows, cols, outp);
+        break;
+    }
+  });
+  return tuples_of(p.c0);
+}
+
+template <typename Tag>
+void expect_grb_all_is_identity(const IndexCombo& c,
+                                const std::string& backend) {
+  const grb::IndexArrayType id = grb::all_indices(kDim);
+  const Tuples want = run_index_form<Tag>(c, id, id);
+  EXPECT_TRUE(run_index_form<Tag>(c, grb::GrB_ALL, id).bytes_equal(want))
+      << backend << ": rows GrB_ALL";
+  EXPECT_TRUE(run_index_form<Tag>(c, id, grb::GrB_ALL).bytes_equal(want))
+      << backend << ": columns GrB_ALL";
+  EXPECT_TRUE(
+      run_index_form<Tag>(c, grb::GrB_ALL, grb::GrB_ALL).bytes_equal(want))
+      << backend << ": both GrB_ALL";
+}
+
+TEST_P(MatrixIndexSweep, GrbAllMatchesIdentityArraysOnEveryBackend) {
+  expect_grb_all_is_identity<grb::Sequential>(GetParam(), "sequential");
+  expect_grb_all_is_identity<grb::CpuPar>(GetParam(), "cpupar");
+  for (const auto mode : {sparse::FusionMode::Off, sparse::FusionMode::Fuse}) {
+    sparse::FusionGuard guard(mode);
+    expect_grb_all_is_identity<grb::GpuSim>(
+        GetParam(),
+        mode == sparse::FusionMode::Off ? "gpusim/off" : "gpusim/fuse");
+  }
+  expect_grb_all_is_identity<grb::GpuShard>(GetParam(), "gpushard");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCombos, MatrixIndexSweep,
+    ::testing::Combine(::testing::Range(0, 3),   // assign / scalar / extract
+                       ::testing::Range(0, 5),   // mask kinds
+                       ::testing::Range(0, 2),   // accum kinds
+                       ::testing::Range(0, 2),   // merge/replace
+                       ::testing::Values(1u, 2u)),
+    index_combo_name);
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, MatrixMaskSweep,
