@@ -106,8 +106,8 @@ void BM_mxv_gpu(benchmark::State& state) {
 // --- Fused-chain rows -------------------------------------------------------
 // The third table measures the iterative-refinement step every solver inner
 // loop looks like — w = (A·u)·0.5 + u as mxv → apply → eWiseAdd — with the
-// lazy op-DAG pinned off (each op pays its own launch) vs Auto (the chain
-// replays as one composite launch). At small scales launch overhead is most
+// chain rule pinned off (each op pays its own launch) vs Auto (the chain
+// is charged as one composite launch). At small scales launch overhead is most
 // of the chain, so fusion moves the CPU/GPU crossover left by roughly the
 // two elided overheads per step.
 

@@ -2,11 +2,12 @@
 /// Measures a fixed 10 iterations (tol = 0) so rows are comparable, and
 /// reports time/iteration.
 ///
-/// The eager/fused pair ablates the lazy op-DAG on the same workload: eager
-/// pins GBTL_FUSION_MODE=off semantics (every primitive pays its own launch
-/// overhead), fused is the shipping Auto default (per-iteration chains
-/// replay as composite launches; see docs/fusion_dag.md). The gap is pure
-/// launch-overhead elision — counters `fused`/`elided` report the groups.
+/// The eager/fused pair ablates composite launches on the same workload:
+/// eager pins GBTL_FUSION_MODE=off semantics (every primitive pays its own
+/// launch overhead), fused is the shipping Auto default (per-iteration
+/// chains are charged as composite launches; see docs/fusion.md). The gap
+/// is pure launch-overhead elision — counters `fused`/`elided` report the
+/// chains.
 
 #include "bench_common.hpp"
 

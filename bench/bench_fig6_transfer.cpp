@@ -6,16 +6,8 @@
 /// Paper-shape expectation: per-call transfers dominate at every scale and
 /// push the CPU/GPU crossover up by 1-2 scales — the architectural argument
 /// for GBTL keeping GraphBLAS objects device-resident across primitives.
-///
-/// The third pair (sync vs overlap) measures what the lazy op-DAG's second
-/// stream buys when a transfer is unavoidable: an mxv plus an index-driven
-/// assign whose index upload either runs synchronously on the compute
-/// stream (fusion off) or is prefetched on the dedicated transfer stream
-/// under the mxv's kernel time (fusion on). Times are device-wide makespan,
-/// so the overlap row's win is exactly the hidden PCIe seconds.
 
 #include "bench_common.hpp"
-#include "sparse/fusion_plan.hpp"
 
 namespace {
 
@@ -58,58 +50,10 @@ void BM_mxv_per_call_transfer(benchmark::State& state) {
   benchx::annotate(state, host.nrows(), host.nvals());
 }
 
-void run_mxv_assign_mode(benchmark::State& state, sparse::FusionMode fmode) {
-  const auto& g = benchx::rmat_graph(static_cast<unsigned>(state.range(0)),
-                                     16);
-  auto a = gbtl_graph::to_matrix<double, grb::GpuSim>(g);
-  grb::Vector<double, grb::GpuSim> u(std::vector<double>(a.ncols(), 1.0),
-                                     0.0);
-  grb::Vector<double, grb::GpuSim> w(a.nrows()), z(a.nrows());
-  const grb::IndexArrayType all = grb::all_indices(a.nrows());
-  auto& dev = gpu_sim::device();
-  sparse::FusionGuard guard(fmode);
-
-  auto work = [&] {
-    grb::mxv(w, grb::NoMask{}, grb::NoAccumulate{},
-             grb::ArithmeticSemiring<double>{}, a, u, grb::Replace);
-    grb::assign(z, grb::NoMask{}, grb::NoAccumulate{}, 1.5, all);
-    grb::wait();
-  };
-  work();  // untimed warm-up, as in benchx::run_simulated
-  const auto before = dev.stats();
-  for (auto _ : state) {
-    // Makespan, not the serial sum: the dual-stream row's saving IS the
-    // copy time hidden under the mxv kernel.
-    const double t0 = dev.makespan_s();
-    work();
-    state.SetIterationTime(dev.makespan_s() - t0);
-  }
-  const auto delta = dev.stats() - before;
-  benchx::annotate(state, a.nrows(), a.nvals());
-  state.counters["overlap_hidden_s"] =
-      benchmark::Counter(delta.overlap_seconds_hidden);
-}
-
-void BM_mxv_assign_sync(benchmark::State& state) {
-  run_mxv_assign_mode(state, sparse::FusionMode::Off);
-}
-
-void BM_mxv_assign_overlap(benchmark::State& state) {
-  run_mxv_assign_mode(state, sparse::FusionMode::Fuse);
-}
-
 }  // namespace
 
 BENCHMARK(BM_mxv_resident)->DenseRange(8, 16, 2)->Iterations(1)->UseManualTime();
 BENCHMARK(BM_mxv_per_call_transfer)
-    ->DenseRange(8, 16, 2)
-    ->Iterations(1)
-    ->UseManualTime();
-BENCHMARK(BM_mxv_assign_sync)
-    ->DenseRange(8, 16, 2)
-    ->Iterations(1)
-    ->UseManualTime();
-BENCHMARK(BM_mxv_assign_overlap)
     ->DenseRange(8, 16, 2)
     ->Iterations(1)
     ->UseManualTime();

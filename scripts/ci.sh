@@ -118,9 +118,9 @@ echo "==> sanitizers: PageRank formulation pin across fusion modes"
 # PageRank scales the rank vector by 1/out-degree instead of building D⁻¹A,
 # and test_oracles' PageRankPin suite memcmps every entry point against the
 # transition-matrix formulation on every backend. The iteration order sets
-# where fused groups begin and end, so replay the pin with the planner off
-# and forced on too (the plain run above covers Auto): the bits must not
-# depend on the mode.
+# where composite-launch chains begin and end, so replay the pin with
+# fusion off and forced on too (the plain run above covers Auto): the bits
+# must not depend on the mode.
 for mode in off fuse; do
   GBTL_FUSION_MODE=${mode} "${SAN_BUILD_DIR}/tests/test_oracles" \
     --gtest_brief=1 --gtest_filter='PageRankPin.*'
@@ -129,10 +129,9 @@ done
 echo "==> sanitizers: fusion-forced fuzz sweep"
 # The fuzz harness zips fusion modes across its GPU legs, but the Auto
 # default size-gates small cases the same as Fuse. Force GBTL_FUSION_MODE
-# =fuse for the whole binary so every whitelisted op records into the
-# lazy op-DAG and replays through the fusion planner under ASan/UBSan —
-# the replay closures, staged index uploads, and drain-at-destructor
-# paths are exactly where a stale pointer would hide. (Env must reach the
+# =fuse for the whole binary so every legal pair of ops joins a
+# composite-launch chain under ASan/UBSan: the join path and the in-place
+# `apply` body a joining op takes run only there. (Env must reach the
 # process directly; ctest shards would not inherit a per-test override.)
 GBTL_FUSION_MODE=fuse "${SAN_BUILD_DIR}/tests/test_differential_fuzz" \
   --gtest_brief=1
@@ -183,9 +182,9 @@ cmake --build "${TSAN_BUILD_DIR}" -j "${JOBS}" \
   --target test_cpupar_determinism --target test_differential_fuzz
 "${TSAN_BUILD_DIR}/tests/test_thread_pool" --gtest_brief=1
 "${TSAN_BUILD_DIR}/tests/test_service_stress" --gtest_brief=1
-# Re-run the executor stress with fusion forced on: each worker records
-# into its own thread-local op-DAG and drains at the job boundary, so a
-# race here would mean DAG state leaked across worker threads.
+# Re-run the executor stress with fusion forced on: each worker's ops
+# chain on its own context, whose last-op record sits under the context's
+# mutex, so a race here would mean chain state leaked across workers.
 GBTL_FUSION_MODE=fuse "${TSAN_BUILD_DIR}/tests/test_service_stress" \
   --gtest_brief=1
 # Multi-context sharded serving under TSan: the oversized-graph stress test

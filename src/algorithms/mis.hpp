@@ -66,8 +66,10 @@ grb::IndexType mis(const grb::Matrix<T, Tag>& graph,
   grb::assign(candidates, grb::NoMask{}, grb::NoAccumulate{}, true,
               grb::GrB_ALL);
 
-  grb::Vector<double, Tag> score(n), neighbour_max(n);
-  grb::Vector<bool, Tag> winners(n), losers(n);
+  // Allocated once: every round writes each of them with Replace under a
+  // mask or from dense operands, so no value carries over between rounds.
+  grb::Vector<double, Tag> score(n), live_score(n), neighbour_max(n);
+  grb::Vector<bool, Tag> winners(n), losers(n), lonely(n);
 
   IndexType rounds = 0;
   while (candidates.nvals() > 0) {
@@ -86,7 +88,6 @@ grb::IndexType mis(const grb::Matrix<T, Tag>& graph,
                      return u / (deg + 1.0);
                    },
                    index_of, degree);
-    grb::Vector<double, Tag> live_score(n);
     grb::eWiseMult(live_score, grb::structure(candidates),
                    grb::NoAccumulate{}, grb::First<double>{}, score, score,
                    grb::Replace);
@@ -104,7 +105,6 @@ grb::IndexType mis(const grb::Matrix<T, Tag>& graph,
     grb::select(winners, grb::NoMask{}, grb::NoAccumulate{},
                 [](grb::IndexType, bool win) { return win; }, winners,
                 grb::Replace);
-    grb::Vector<bool, Tag> lonely(n);
     grb::eWiseMult(lonely, grb::complement(grb::structure(neighbour_max)),
                    grb::NoAccumulate{}, grb::First<bool>{}, candidates,
                    candidates, grb::Replace);

@@ -21,16 +21,18 @@
 /// `scaled` just as their empty rows of M contributed nothing.
 ///
 /// Each iteration takes the dangling mass before the vxm: it and the
-/// teleport read only `rank`, and its scalar readback is a materialization
-/// point. On GpuSim the fusion planner then replays an iteration as two
-/// dataflow chains, each one composite launch (docs/fusion_dag.md): scale →
-/// dangling rank → Σ, then vxm → damping → teleport assign → diff → |·| → Σ.
-/// The uniform teleport assigns over GrB_ALL, so it is one epilogue kernel
-/// with no index upload (a personalized teleport uploads its seed list),
-/// and `rank` and `next` rotate by swap: an iteration copies no vector.
+/// teleport read only `rank`. On GpuSim an iteration then runs as two
+/// dataflow chains, each charged as one composite launch (docs/fusion.md):
+/// scale → dangling rank → Σ, then vxm → damping → teleport assign → diff →
+/// |·| → Σ. The teleport assigns over GrB_ALL, so it is one epilogue kernel
+/// with no index upload: a personalized teleport lands under a seed mask
+/// built once per call. `rank` and `next` rotate by swap, so an iteration
+/// copies no vector.
 
 #include <algorithm>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "gbtl/gbtl.hpp"
 
@@ -61,9 +63,22 @@ PageRankResult pagerank_run(const grb::Matrix<T, Tag>& graph,
   if (rank.size() != n)
     throw grb::DimensionException("pagerank: rank size mismatch");
 
-  const grb::IndexView targets =
-      seeds != nullptr ? grb::IndexView(*seeds) : grb::IndexView(grb::GrB_ALL);
-  const double share = 1.0 / static_cast<double>(targets.over(n).size());
+  const double share =
+      1.0 / static_cast<double>(seeds != nullptr ? seeds->size() : n);
+  // The teleport's targets: every vertex, or the seeds as a mask over
+  // GrB_ALL, uploaded once per call rather than once per assign.
+  std::optional<grb::Vector<bool, Tag>> seed_mask;
+  if (seeds != nullptr) {
+    seed_mask.emplace(n);
+    seed_mask->build(*seeds, std::vector<bool>(seeds->size(), true));
+  }
+  const auto assign_targets = [&](grb::Vector<double, Tag>& w, auto accum,
+                                  double value) {
+    if (seed_mask)
+      grb::assign(w, grb::structure(*seed_mask), accum, value, grb::GrB_ALL);
+    else
+      grb::assign(w, grb::NoMask{}, accum, value, grb::GrB_ALL);
+  };
 
   // 1 / out-degree, where the out-degree counts stored entries whatever
   // their values. Dangling vertices get no entry.
@@ -76,7 +91,7 @@ PageRankResult pagerank_run(const grb::Matrix<T, Tag>& graph,
 
   if (!warm) {
     rank.clear();
-    grb::assign(rank, grb::NoMask{}, grb::NoAccumulate{}, share, targets);
+    assign_targets(rank, grb::NoAccumulate{}, share);
   }
 
   PageRankResult result;
@@ -106,7 +121,7 @@ PageRankResult pagerank_run(const grb::Matrix<T, Tag>& graph,
              grb::Replace);
     grb::apply(next, grb::NoMask{}, grb::NoAccumulate{},
                grb::BindSecond<double, grb::Times<double>>{damping}, next);
-    grb::assign(next, grb::NoMask{}, grb::Plus<double>{}, teleport, targets);
+    assign_targets(next, grb::Plus<double>{}, teleport);
 
     // delta = ||next - rank||_1
     grb::eWiseAdd(diff, grb::NoMask{}, grb::NoAccumulate{},

@@ -35,11 +35,8 @@
 /// serving layer binds one pool per worker explicitly.
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "gpu_sim/knob.hpp"
 #include "gpu_sim/thread_pool.hpp"
@@ -104,67 +101,6 @@ inline constexpr std::size_t kVectorChunk = 256;
 /// (re)initialization amortizes over more rows.
 inline constexpr std::size_t kRowChunk = 1024;
 
-// --------------------------------------------------------------------------
-// Modeled-time instrumentation (bench convention)
-// --------------------------------------------------------------------------
-
-/// Bench-only meter mirroring gpu_sim's simulated device clock: while a
-/// meter is installed (ScopedMeter), parallel_ranges runs its chunks INLINE
-/// and times each one, accumulating both the serial sum and the makespan of
-/// a greedy longest-queue-first schedule over `workers` lanes. A bench then
-/// reports   wall_elapsed - serial_sum() + modeled_sum()   as the modeled
-/// W-thread time — real measured work under an Amdahl schedule, the
-/// CPU-side analogue of the GPU backend's modeled device seconds
-/// (bench_common.hpp documents the convention). Purely additive: with no
-/// meter installed the pool runs real threads and nothing is timed.
-class Meter {
- public:
-  explicit Meter(std::size_t workers) : lanes_(workers > 0 ? workers : 1) {}
-
-  std::size_t workers() const { return lanes_.size(); }
-  double serial_sum() const { return serial_; }
-  double modeled_sum() const {
-    double makespan = 0.0;
-    for (double lane : lanes_) makespan = std::max(makespan, lane);
-    return makespan;
-  }
-
-  /// Charge one timed chunk: the greedy schedule places it on the least
-  /// loaded lane (deterministic for a fixed chunk order).
-  void charge(double seconds) {
-    serial_ += seconds;
-    *std::min_element(lanes_.begin(), lanes_.end()) += seconds;
-  }
-
- private:
-  double serial_ = 0.0;
-  std::vector<double> lanes_;
-};
-
-namespace detail {
-
-inline Meter*& ambient_meter_slot() {
-  thread_local Meter* slot = nullptr;
-  return slot;
-}
-
-}  // namespace detail
-
-/// RAII guard installing a Meter for the calling thread (bench use only).
-class ScopedMeter {
- public:
-  explicit ScopedMeter(Meter& m) : previous_(detail::ambient_meter_slot()) {
-    detail::ambient_meter_slot() = &m;
-  }
-  ~ScopedMeter() { detail::ambient_meter_slot() = previous_; }
-
-  ScopedMeter(const ScopedMeter&) = delete;
-  ScopedMeter& operator=(const ScopedMeter&) = delete;
-
- private:
-  Meter* previous_;
-};
-
 /// Run body(begin, end) over [0, n) in fixed chunks of @p chunk positions
 /// (which must be a multiple of kChunkAlign). Chunk decomposition depends
 /// only on n and chunk — never on the worker count — and each body call owns
@@ -176,17 +112,6 @@ void parallel_ranges(std::size_t n, std::size_t chunk, Body&& body) {
                 kRowChunk % kChunkAlign == 0);
   if (n == 0) return;
   const std::size_t nchunks = (n + chunk - 1) / chunk;
-
-  if (Meter* meter = detail::ambient_meter_slot()) {
-    // Modeled mode: inline execution, per-chunk timing (see Meter).
-    using Clock = std::chrono::steady_clock;
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      const auto t0 = Clock::now();
-      body(c * chunk, std::min(n, c * chunk + chunk));
-      meter->charge(std::chrono::duration<double>(Clock::now() - t0).count());
-    }
-    return;
-  }
 
   gpu_sim::ThreadPool& p = pool();
   if (nchunks == 1 || p.worker_count() <= 1) {

@@ -17,7 +17,6 @@
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_vector.hpp"
 #include "sparse/bitmap.hpp"
-#include "sparse/fusion_plan.hpp"
 
 namespace grb::gpu_backend {
 
@@ -58,10 +57,6 @@ class Matrix {
         values_(other.values_) {}
   Matrix& operator=(const Matrix& other) {
     if (this != &other) {
-      // Pending recorded ops may read this matrix; drain them before the
-      // overwrite. (Matrices are never pending *outputs*, so reading
-      // `other` needs no drain.)
-      sparse::fusion_sync_if_touches(this);
       nrows_ = other.nrows_;
       ncols_ = other.ncols_;
       ctx_ = other.ctx_;
@@ -72,11 +67,8 @@ class Matrix {
     }
     return *this;
   }
-  // Moving or destroying a matrix that a pending recorded op reads would
-  // leave the op's captured reference dangling — drain first (touch-
-  // filtered, like backend_gpu::Vector).
   Matrix(Matrix&& other) noexcept
-      : nrows_((sparse::fusion_sync_if_touches(&other), other.nrows_)),
+      : nrows_(other.nrows_),
         ncols_(other.ncols_),
         ctx_(other.ctx_),
         row_offsets_(std::move(other.row_offsets_)),
@@ -90,8 +82,6 @@ class Matrix {
         bit_cols_(std::move(other.bit_cols_)) {}
   Matrix& operator=(Matrix&& other) noexcept {
     if (this != &other) {
-      sparse::fusion_sync_if_touches(this);
-      sparse::fusion_sync_if_touches(&other);
       nrows_ = other.nrows_;
       ncols_ = other.ncols_;
       ctx_ = other.ctx_;
@@ -107,7 +97,6 @@ class Matrix {
     }
     return *this;
   }
-  ~Matrix() { sparse::fusion_sync_if_touches(this); }
 
   IndexType nrows() const { return nrows_; }
   IndexType ncols() const { return ncols_; }
@@ -115,7 +104,6 @@ class Matrix {
   gpu_sim::Context& context() const { return *ctx_; }
 
   void clear() {
-    sparse::fusion_sync_if_touches(this);
     gpu_sim::fill(row_offsets_, IndexType{0});
     col_indices_.clear();
     values_.clear();
@@ -127,7 +115,6 @@ class Matrix {
   void resize(IndexType nrows, IndexType ncols) {
     if (nrows == 0 || ncols == 0)
       throw InvalidValueException("resize: dimensions must be positive");
-    sparse::fusion_sync_if_touches(this);
     const IndexType nnz = nvals();
     const IndexType old_ncols = ncols_;
 
@@ -186,7 +173,6 @@ class Matrix {
              VIt values_begin, IndexType n, DupOp dup) {
     if (row_idx.size() < n || col_idx.size() < n)
       throw InvalidValueException("build: index arrays shorter than n");
-    sparse::fusion_sync_if_touches(this);
     std::vector<IndexType> keys(n);
     std::vector<T> vals(n);
     for (IndexType k = 0; k < n; ++k) {
@@ -248,7 +234,6 @@ class Matrix {
 
   void set_element(IndexType i, IndexType j, const T& v) {
     bounds_check(i, j);
-    sparse::fusion_sync_if_touches(this);
     const IndexType pos = find_position(i, j);
     if (pos != kNotFound) {
       ctx_->copy_h2d(values_.data() + pos, &v, sizeof(T));
@@ -264,7 +249,6 @@ class Matrix {
 
   void remove_element(IndexType i, IndexType j) {
     bounds_check(i, j);
-    sparse::fusion_sync_if_touches(this);
     if (find_position(i, j) == kNotFound) return;
     HostCoo coo = to_host_coo();
     HostCoo out;
@@ -345,7 +329,6 @@ class Matrix {
   void adopt(gpu_sim::device_vector<IndexType>&& row_offsets,
              gpu_sim::device_vector<IndexType>&& col_indices,
              gpu_sim::device_vector<T>&& values) {
-    sparse::fusion_sync_if_touches(this);
     row_offsets_ = std::move(row_offsets);
     col_indices_ = std::move(col_indices);
     values_ = std::move(values);

@@ -122,19 +122,15 @@ decltype(auto) with_seq_output(const OutputDescriptor<MObj>& out, Fn&& fn) {
 }
 
 // --------------------------------------------------------------------------
-// Lazy op-DAG recording (sparse/fusion_plan.hpp)
+// Composite-launch chains (sparse/fusion_plan.hpp)
 // --------------------------------------------------------------------------
 //
-// Whitelisted vector ops record themselves into the calling thread's OpDag
-// and return; the replay closure re-invokes the same op, which falls through
-// to its eager body because the dag is draining (record_op returns false).
-// Bounds validation stays ahead of the record so errors surface eagerly at
-// the call site, exactly as before. Every op NOT whitelisted drains the dag
-// at entry — matrix-writing ops could otherwise invalidate operands of
-// pending recorded reads.
+// Each vector op in the legality table opens a sparse::FusedOpScope at the
+// top of its body, after its bounds checks, naming what it writes and
+// reads. Every other op is charged as it runs.
 
-/// Container address of a vector/matrix mask for the planner's dependency
-/// scan (nullptr when unmasked).
+/// Container address of a vector/matrix mask for the chain rule's
+/// dependency test (nullptr when unmasked).
 template <typename MObj>
 const void* mask_addr(const OutputDescriptor<MObj>& out) {
   if constexpr (std::is_same_v<MObj, EmptyMaskObj>)
@@ -513,7 +509,6 @@ template <typename CT, typename MObj, typename Accum, typename SR,
           typename AT, typename BT>
 void mxm(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
          const Matrix<AT>& A, const Matrix<BT>& B) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   using detail::LaunchStats;
   using ZT = typename SR::result_type;
   gpu_sim::Context& ctx = C.context();
@@ -691,13 +686,9 @@ template <typename WT, typename MObj, typename Accum, typename SR,
           typename AT, typename UT>
 void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
          const Matrix<AT>& A, const Vector<UT>& u) {
-  if (sparse::record_op(sparse::FusedOpKind::kMxv, &w,
-                        {&A, &u, detail::mask_addr(out)}, A.nvals(),
-                        w.context(),
-                        [&w, out, accum, sr, &A, &u] {
-                          mxv(w, out, accum, sr, A, u);
-                        }))
-    return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kMxv, &w,
+                             {&A, &u, detail::mask_addr(out)}, A.nvals(),
+                             w.context());
   using detail::LaunchStats;
   using ZT = typename SR::result_type;
   gpu_sim::Context& ctx = w.context();
@@ -979,13 +970,9 @@ template <typename WT, typename MObj, typename Accum, typename SR,
           typename UT, typename AT>
 void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
          const Vector<UT>& u, const Matrix<AT>& A) {
-  if (sparse::record_op(sparse::FusedOpKind::kVxm, &w,
-                        {&u, &A, detail::mask_addr(out)}, A.nvals(),
-                        w.context(),
-                        [&w, out, accum, sr, &u, &A] {
-                          vxm(w, out, accum, sr, u, A);
-                        }))
-    return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kVxm, &w,
+                             {&u, &A, detail::mask_addr(out)}, A.nvals(),
+                             w.context());
   using detail::LaunchStats;
   using ZT = typename SR::result_type;
   gpu_sim::Context& ctx = w.context();
@@ -1233,13 +1220,9 @@ template <typename WT, typename MObj, typename Accum, typename Op,
 void ewise_add_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                    Accum accum, Op op, const Vector<UT>& u,
                    const Vector<VT>& v) {
-  if (sparse::record_op(sparse::FusedOpKind::kEWiseAdd, &w,
-                        {&u, &v, detail::mask_addr(out)}, w.size(),
-                        w.context(),
-                        [&w, out, accum, op, &u, &v] {
-                          ewise_add_vec(w, out, accum, op, u, v);
-                        }))
-    return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kEWiseAdd, &w,
+                             {&u, &v, detail::mask_addr(out)}, w.size(),
+                             w.context());
   using detail::LaunchStats;
   using ZT = std::common_type_t<UT, VT>;
   gpu_sim::Context& ctx = w.context();
@@ -1280,13 +1263,9 @@ template <typename WT, typename MObj, typename Accum, typename Op,
 void ewise_mult_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                     Accum accum, Op op, const Vector<UT>& u,
                     const Vector<VT>& v) {
-  if (sparse::record_op(sparse::FusedOpKind::kEWiseMult, &w,
-                        {&u, &v, detail::mask_addr(out)}, w.size(),
-                        w.context(),
-                        [&w, out, accum, op, &u, &v] {
-                          ewise_mult_vec(w, out, accum, op, u, v);
-                        }))
-    return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kEWiseMult, &w,
+                             {&u, &v, detail::mask_addr(out)}, w.size(),
+                             w.context());
   using detail::LaunchStats;
   using ZT = std::common_type_t<UT, VT>;
   gpu_sim::Context& ctx = w.context();
@@ -1431,7 +1410,6 @@ template <typename CT, typename MObj, typename Accum, typename Op,
 void ewise_add_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
                    Accum accum, Op op, const Matrix<AT>& A,
                    const Matrix<BT>& B) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   using ZT = std::common_type_t<AT, BT>;
   gpu_sim::device_vector<IndexType> keys(C.context());
   gpu_sim::device_vector<ZT> vals(C.context());
@@ -1444,7 +1422,6 @@ template <typename CT, typename MObj, typename Accum, typename Op,
 void ewise_mult_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
                     Accum accum, Op op, const Matrix<AT>& A,
                     const Matrix<BT>& B) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   using ZT = std::common_type_t<AT, BT>;
   gpu_sim::device_vector<IndexType> keys(C.context());
   gpu_sim::device_vector<ZT> vals(C.context());
@@ -1461,37 +1438,30 @@ template <typename WT, typename MObj, typename Accum, typename UnaryOp,
 void apply_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
                UnaryOp f, const Vector<UT>& u) {
   using detail::LaunchStats;
-  // In-place eligibility (w ≡ u, no mask, no accum): T̃'s presence equals
-  // w's own, so a non-head group member can run as one kernel rewriting
-  // w's storage directly — no temp allocation, no write_vector epilogue.
-  // Bit-identical: per-element read-then-write with no cross-element deps.
-  std::function<void()> run_fused;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kApply, &w,
+                             {&u, detail::mask_addr(out)}, u.size(),
+                             w.context());
+  gpu_sim::Context& ctx = w.context();
+  // In place (w ≡ u, no mask, no accum) T̃'s presence equals w's own, so a
+  // chain member runs as one kernel rewriting w's storage directly — no
+  // temp allocation, no write_vector epilogue. Bit-identical: per-element
+  // read-then-write with no cross-element deps.
   if constexpr (std::is_same_v<WT, UT> &&
                 std::is_same_v<MObj, EmptyMaskObj> &&
                 std::is_same_v<Accum, NoAccumulate>) {
-    if (static_cast<const void*>(&w) == static_cast<const void*>(&u)) {
-      run_fused = [&w, f] {
-        gpu_sim::Context& c = w.context();
-        const IndexType n = w.size();
-        WT* wv = w.values().data();
-        const std::uint8_t* wp = w.present().data();
-        const UnaryOp fn = f;
-        c.launch_n(n,
-                   LaunchStats{n, n * (sizeof(WT) + 1), n * sizeof(WT)},
+    if (scope.joined() &&
+        static_cast<const void*>(&w) == static_cast<const void*>(&u)) {
+      const IndexType n = w.size();
+      WT* wv = w.values().data();
+      const std::uint8_t* wp = w.present().data();
+      const UnaryOp fn = f;
+      ctx.launch_n(n, LaunchStats{n, n * (sizeof(WT) + 1), n * sizeof(WT)},
                    [=](std::size_t i) {
                      if (wp[i]) wv[i] = static_cast<WT>(fn(wv[i]));
                    });
-      };
+      return;
     }
   }
-  if (sparse::record_op(sparse::FusedOpKind::kApply, &w,
-                        {&u, detail::mask_addr(out)}, u.size(), w.context(),
-                        [&w, out, accum, f, &u] {
-                          apply_vec(w, out, accum, f, u);
-                        },
-                        std::move(run_fused)))
-    return;
-  gpu_sim::Context& ctx = w.context();
   const IndexType n = u.size();
   gpu_sim::device_vector<WT> t_vals(n, ctx);
   gpu_sim::device_vector<std::uint8_t> t_pres(n, ctx);
@@ -1517,7 +1487,6 @@ template <typename CT, typename MObj, typename Accum, typename UnaryOp,
           typename AT>
 void apply_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
                UnaryOp f, const Matrix<AT>& A) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   gpu_sim::Context& ctx = C.context();
   auto keys = pipeline::coo_keys(A);
   gpu_sim::device_vector<CT> vals(ctx);
@@ -1533,12 +1502,9 @@ template <typename WT, typename MObj, typename Accum, typename IdxOp,
 void apply_indexed_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                        Accum accum, IdxOp f, const Vector<UT>& u) {
   using detail::LaunchStats;
-  if (sparse::record_op(sparse::FusedOpKind::kApplyIndexed, &w,
-                        {&u, detail::mask_addr(out)}, u.size(), w.context(),
-                        [&w, out, accum, f, &u] {
-                          apply_indexed_vec(w, out, accum, f, u);
-                        }))
-    return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kApplyIndexed, &w,
+                             {&u, detail::mask_addr(out)}, u.size(),
+                             w.context());
   gpu_sim::Context& ctx = w.context();
   const IndexType n = u.size();
   gpu_sim::device_vector<WT> t_vals(n, ctx);
@@ -1568,7 +1534,6 @@ template <typename CT, typename MObj, typename Accum, typename IdxOp,
           typename AT>
 void apply_indexed_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
                        Accum accum, IdxOp f, const Matrix<AT>& A) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   using detail::LaunchStats;
   gpu_sim::Context& ctx = C.context();
   auto keys = pipeline::coo_keys(A);
@@ -1598,12 +1563,9 @@ template <typename WT, typename MObj, typename Accum, typename Monoid,
           typename AT>
 void reduce_mat_to_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                        Accum accum, Monoid monoid, const Matrix<AT>& A) {
-  if (sparse::record_op(sparse::FusedOpKind::kReduceMatToVec, &w,
-                        {&A, detail::mask_addr(out)}, A.nvals(), w.context(),
-                        [&w, out, accum, monoid, &A] {
-                          reduce_mat_to_vec(w, out, accum, monoid, A);
-                        }))
-    return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kReduceMatToVec, &w,
+                             {&A, detail::mask_addr(out)}, A.nvals(),
+                             w.context());
   using detail::LaunchStats;
   using ZT = typename Monoid::result_type;
   gpu_sim::Context& ctx = w.context();
@@ -1636,18 +1598,10 @@ void reduce_mat_to_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
 template <typename ST, typename Accum, typename Monoid, typename UT>
 void reduce_vec_to_scalar(ST& s, Accum accum, Monoid monoid,
                           const Vector<UT>& u) {
-  // Record-then-drain: the reduction joins the dag (so an eWiseMult→reduce
-  // chain fuses into one composite launch) but the host scalar must be
-  // valid at return, so the drain follows immediately. Capturing &s is safe
-  // for exactly that reason.
-  if (sparse::record_op(sparse::FusedOpKind::kReduceToScalar, nullptr, {&u},
-                        u.size(), u.context(),
-                        [&s, accum, monoid, &u] {
-                          reduce_vec_to_scalar(s, accum, monoid, u);
-                        })) {
-    sparse::fusion_sync_all();
-    return;
-  }
+  // Joins its producer's chain (an eWiseMult→reduce chain is one composite
+  // launch); its host output ends the chain.
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kReduceToScalar, nullptr,
+                             {&u}, u.size(), u.context());
   using detail::LaunchStats;
   using ZT = typename Monoid::result_type;
   gpu_sim::Context& ctx = u.context();
@@ -1672,7 +1626,6 @@ void reduce_vec_to_scalar(ST& s, Accum accum, Monoid monoid,
 template <typename ST, typename Accum, typename Monoid, typename AT>
 void reduce_mat_to_scalar(ST& s, Accum accum, Monoid monoid,
                           const Matrix<AT>& A) {
-  sparse::fusion_sync_all();  // not whitelisted: host scalar read
   using ZT = typename Monoid::result_type;
   const Monoid m = monoid;
   const ZT acc = gpu_sim::reduce(A.values(), monoid.identity(),
@@ -1692,7 +1645,6 @@ void reduce_mat_to_scalar(ST& s, Accum accum, Monoid monoid,
 template <typename CT, typename MObj, typename Accum, typename AT>
 void transpose_op(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
                   Accum accum, const Matrix<AT>& A) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   using detail::LaunchStats;
   gpu_sim::Context& ctx = C.context();
   const IndexType nnz = A.nvals();
@@ -1732,54 +1684,22 @@ Matrix<T> transposed(const Matrix<T>& A) {
 // extract / assign — vectors device-native, matrices via host fallback
 // ===========================================================================
 
-namespace detail {
-
-/// assign/extract of a whole vector over GrB_ALL: every position is indexed,
-/// so the GraphBLAS Z is exactly accum(w, u) and the epilogue reads u in
-/// place. One kernel, recorded under the op's own kind, with no index array
-/// and no copy of w.
-template <typename WT, typename MObj, typename Accum, typename UT>
-void write_whole_vector(sparse::FusedOpKind kind, Vector<WT>& w,
-                        const OutputDescriptor<MObj>& out, Accum accum,
-                        const Vector<UT>& u) {
-  auto run = [&w, out, accum, &u] {
-    pipeline::write_vector(w, u.values(), u.present(), out, accum);
-  };
-  if (!sparse::record_op(kind, &w, {&u, mask_addr(out)}, w.size(),
-                         w.context(), run))
-    run();
-}
-
-}  // namespace detail
-
 template <typename WT, typename MObj, typename Accum, typename UT>
 void extract_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                  Accum accum, const Vector<UT>& u, IndexView indices) {
   using detail::LaunchStats;
-  if (indices.is_all()) {
-    detail::write_whole_vector(sparse::FusedOpKind::kExtract, w, out, accum,
-                               u);
-    return;
-  }
   gpu_sim::Context& ctx = w.context();
   indices.check_bounds(u.size(), "extract: source index");
-  if (!sparse::fusion_eager()) {
-    auto idx = std::make_shared<IndexArrayType>(indices.array());
-    auto staged = sparse::make_index_prefetch(idx, ctx);
-    if (sparse::record_op(sparse::FusedOpKind::kExtract, &w,
-                          {&u, detail::mask_addr(out)}, w.size(), ctx,
-                          [&w, out, accum, &u, idx] {
-                            extract_vec(w, out, accum, u, *idx);
-                          },
-                          nullptr, std::move(staged.first),
-                          std::move(staged.second)))
-      return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kExtract, &w,
+                             {&u, detail::mask_addr(out)}, w.size(), ctx);
+  if (indices.is_all()) {
+    // Every position is indexed, so T̃ is u itself: the epilogue alone
+    // reads it in place, with no index array and no copy of w.
+    pipeline::write_vector(w, u.values(), u.present(), out, accum);
+    return;
   }
   const IndexType n = w.size();
-  // Index upload: planner-staged on the transfer stream when this replay is
-  // part of a drain (overlapped H2D), synchronous otherwise.
-  gpu_sim::device_vector<IndexType> d_idx =
-      sparse::staged_or_upload(indices.array(), ctx);
+  gpu_sim::device_vector<IndexType> d_idx(indices.array(), ctx);
   gpu_sim::device_vector<WT> t_vals(n, ctx);
   gpu_sim::device_vector<std::uint8_t> t_pres(n, ctx);
   gpu_sim::fill(t_pres, std::uint8_t{0});
@@ -1806,31 +1726,21 @@ template <typename WT, typename MObj, typename Accum, typename UT>
 void assign_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
                 const Vector<UT>& u, IndexView indices) {
   using detail::LaunchStats;
-  if (indices.is_all()) {
-    detail::write_whole_vector(sparse::FusedOpKind::kAssign, w, out, accum,
-                               u);
-    return;
-  }
   gpu_sim::Context& ctx = w.context();
   indices.check_bounds(w.size(), "assign: destination index");
-  if (!sparse::fusion_eager()) {
-    auto idx = std::make_shared<IndexArrayType>(indices.array());
-    auto staged = sparse::make_index_prefetch(idx, ctx);
-    if (sparse::record_op(sparse::FusedOpKind::kAssign, &w,
-                          {&u, detail::mask_addr(out)}, w.size(), ctx,
-                          [&w, out, accum, &u, idx] {
-                            assign_vec(w, out, accum, u, *idx);
-                          },
-                          nullptr, std::move(staged.first),
-                          std::move(staged.second)))
-      return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kAssign, &w,
+                             {&u, detail::mask_addr(out)}, w.size(), ctx);
+  if (indices.is_all()) {
+    // Every position is indexed, so T̃ is u itself: the epilogue alone
+    // reads it in place, with no index array and no copy of w.
+    pipeline::write_vector(w, u.values(), u.present(), out, accum);
+    return;
   }
   constexpr bool kAccum = !std::is_same_v<Accum, NoAccumulate>;
   // Z starts as w (device copies), subrange overwritten by scatter.
   gpu_sim::device_vector<WT> t_vals = w.values();
   gpu_sim::device_vector<std::uint8_t> t_pres = w.present();
-  gpu_sim::device_vector<IndexType> d_idx =
-      sparse::staged_or_upload(indices.array(), ctx);
+  gpu_sim::device_vector<IndexType> d_idx(indices.array(), ctx);
   const IndexType* ix = d_idx.data();
   const UT* uvv = u.values().data();
   const std::uint8_t* uvp = u.present().data();
@@ -1873,34 +1783,18 @@ void assign_vec_constant(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                          Accum accum, const WT& value, IndexView indices) {
   using detail::LaunchStats;
   gpu_sim::Context& ctx = w.context();
+  indices.check_bounds(w.size(), "assign: destination index");
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kAssignConstant, &w,
+                             {detail::mask_addr(out)}, w.size(), ctx);
   if (indices.is_all()) {
     // The epilogue alone, with T̃ the constant at every position.
-    auto run = [&w, out, accum, value] {
-      pipeline::write_vector_constant(w, value, out, accum);
-    };
-    if (!sparse::record_op(sparse::FusedOpKind::kAssignConstant, &w,
-                           {detail::mask_addr(out)}, w.size(), ctx, run))
-      run();
+    pipeline::write_vector_constant(w, value, out, accum);
     return;
-  }
-  indices.check_bounds(w.size(), "assign: destination index");
-  if (!sparse::fusion_eager()) {
-    auto idx = std::make_shared<IndexArrayType>(indices.array());
-    auto staged = sparse::make_index_prefetch(idx, ctx);
-    if (sparse::record_op(sparse::FusedOpKind::kAssignConstant, &w,
-                          {detail::mask_addr(out)}, w.size(), ctx,
-                          [&w, out, accum, value, idx] {
-                            assign_vec_constant(w, out, accum, value, *idx);
-                          },
-                          nullptr, std::move(staged.first),
-                          std::move(staged.second)))
-      return;
   }
   constexpr bool kAccum = !std::is_same_v<Accum, NoAccumulate>;
   gpu_sim::device_vector<WT> t_vals = w.values();
   gpu_sim::device_vector<std::uint8_t> t_pres = w.present();
-  gpu_sim::device_vector<IndexType> d_idx =
-      sparse::staged_or_upload(indices.array(), ctx);
+  gpu_sim::device_vector<IndexType> d_idx(indices.array(), ctx);
   const IndexType* ix = d_idx.data();
   WT* tv = t_vals.data();
   std::uint8_t* tp = t_pres.data();
@@ -1929,12 +1823,9 @@ template <typename WT, typename MObj, typename Accum, typename Pred,
 void select_vec(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum,
                 Pred pred, const Vector<UT>& u) {
   using detail::LaunchStats;
-  if (sparse::record_op(sparse::FusedOpKind::kSelect, &w,
-                        {&u, detail::mask_addr(out)}, u.size(), w.context(),
-                        [&w, out, accum, pred, &u] {
-                          select_vec(w, out, accum, pred, u);
-                        }))
-    return;
+  sparse::FusedOpScope scope(sparse::FusedOpKind::kSelect, &w,
+                             {&u, detail::mask_addr(out)}, u.size(),
+                             w.context());
   gpu_sim::Context& ctx = w.context();
   const IndexType n = u.size();
   gpu_sim::device_vector<UT> t_vals(n, ctx);
@@ -1964,7 +1855,6 @@ template <typename CT, typename MObj, typename Accum, typename Pred,
           typename AT>
 void select_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
                 Pred pred, const Matrix<AT>& A) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   using detail::LaunchStats;
   gpu_sim::Context& ctx = C.context();
   auto keys = pipeline::coo_keys(A);
@@ -1995,7 +1885,6 @@ template <typename CT, typename MObj, typename Accum, typename AT>
 void extract_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
                  Accum accum, const Matrix<AT>& A, IndexView row_indices,
                  IndexView col_indices) {
-  sparse::fusion_sync_all();  // not whitelisted: host fallback
   auto host_c = detail::download(C);
   const auto host_a = detail::download(A);
   detail::with_seq_output(out, [&](const auto& seq_out) {
@@ -2013,7 +1902,6 @@ template <typename WT, typename MObj, typename Accum, typename AT>
 void extract_col(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                  Accum accum, const Matrix<AT>& A, IndexView row_indices,
                  IndexType col) {
-  sparse::fusion_sync_all();  // not whitelisted: writes w eagerly
   using detail::LaunchStats;
   gpu_sim::Context& ctx = w.context();
   if (col >= A.ncols())
@@ -2062,7 +1950,6 @@ template <typename CT, typename MObj, typename Accum, typename AT>
 void assign_mat(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
                 const Matrix<AT>& A, IndexView row_indices,
                 IndexView col_indices) {
-  sparse::fusion_sync_all();  // not whitelisted: host fallback
   auto host_c = detail::download(C);
   const auto host_a = detail::download(A);
   detail::with_seq_output(out, [&](const auto& seq_out) {
@@ -2076,7 +1963,6 @@ template <typename CT, typename MObj, typename Accum>
 void assign_mat_constant(Matrix<CT>& C, const OutputDescriptor<MObj>& out,
                          Accum accum, const CT& value, IndexView row_indices,
                          IndexView col_indices) {
-  sparse::fusion_sync_all();  // not whitelisted: writes a matrix eagerly
   // Device fast path for the dominant idiom (e.g. level stamping in
   // batched BFS): constant assign over GrB_ALL × GrB_ALL under a
   // non-complemented mask.
@@ -2116,7 +2002,6 @@ template <typename CT, typename MObj, typename Accum, typename Op,
           typename AT, typename BT>
 void kronecker(Matrix<CT>& C, const OutputDescriptor<MObj>& out, Accum accum,
                Op op, const Matrix<AT>& A, const Matrix<BT>& B) {
-  sparse::fusion_sync_all();  // not whitelisted: host fallback
   auto host_c = detail::download(C);
   const auto host_a = detail::download(A);
   const auto host_b = detail::download(B);

@@ -19,8 +19,8 @@
 /// substitution (binary search in the uploaded dirty-row list) and a bare
 /// first product per output — the Sequential scatter's combination order.
 ///
-/// Both ops run eagerly: they are not fusion-DAG citizens, so any pending
-/// fused ops touching the operands are drained first.
+/// Neither op is in the composite-launch legality table: each is charged
+/// its own launches.
 
 #include <algorithm>
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include "gbtl/overlay.hpp"
 #include "gbtl/types.hpp"
 #include "gbtl/write_rules.hpp"
-#include "sparse/fusion_plan.hpp"
 #include "sparse/output_pipeline.hpp"
 
 namespace grb::gpu_backend {
@@ -41,9 +40,6 @@ template <typename WT, typename MObj, typename Accum, typename SR,
 void mxv_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                  Accum accum, SR sr, const Matrix<AT>& A,
                  const MatrixOverlay<AT>& ov, const Vector<UT>& u) {
-  sparse::fusion_sync_if_touches(&w);
-  sparse::fusion_sync_if_touches(&A);
-  sparse::fusion_sync_if_touches(&u);
   using detail::LaunchStats;
   using ZT = typename SR::result_type;
   gpu_sim::Context& ctx = w.context();
@@ -130,9 +126,6 @@ template <typename WT, typename MObj, typename Accum, typename SR,
 void vxm_overlay(Vector<WT>& w, const OutputDescriptor<MObj>& out,
                  Accum accum, SR sr, const Vector<UT>& u,
                  const Matrix<AT>& A, const MatrixOverlay<AT>& ov) {
-  sparse::fusion_sync_if_touches(&w);
-  sparse::fusion_sync_if_touches(&A);
-  sparse::fusion_sync_if_touches(&u);
   using detail::LaunchStats;
   using ZT = typename SR::result_type;
   gpu_sim::Context& ctx = w.context();

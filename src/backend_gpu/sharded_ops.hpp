@@ -14,8 +14,8 @@
 ///     home context compute in place: no self-halo, no staging, keeping
 ///     the home arena free for the op working set.
 ///  2. pure vector ops — re-exported from gpu_backend unchanged (GpuShard
-///     vectors ARE gpu_backend vectors on the home context, fusion DAG and
-///     all).
+///     vectors ARE gpu_backend vectors on the home context, composite-launch
+///     chains and all).
 ///  3. the long matrix-op tail (mxm, apply_mat, kronecker, ...) — delegated
 ///     to the single-device pipelines through the matrix's monolithic
 ///     home() view, with the host CSR re-synced afterwards. These ops have
@@ -48,7 +48,6 @@
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_properties.hpp"
 #include "gpu_sim/placement.hpp"
-#include "sparse/fusion_plan.hpp"
 #include "sparse/output_pipeline.hpp"
 #include "sparse/shard_plan.hpp"
 
@@ -140,17 +139,6 @@ decltype(auto) lower(X&& x) {
   return std::forward<X>(x);
 }
 
-/// Drain any pending fusion nodes that touch a sharded op's operands — the
-/// sharded paths read vector device memory directly, so recorded producers
-/// must land first (same contract as the container read hooks).
-template <typename MObj>
-void sync_operands(const void* w, const void* u,
-                   const OutputDescriptor<MObj>& out) {
-  sparse::fusion_sync_if_touches(w);
-  sparse::fusion_sync_if_touches(u);
-  sparse::fusion_sync_if_touches(gpu_backend::detail::mask_addr(out));
-}
-
 }  // namespace detail
 
 // ===========================================================================
@@ -175,11 +163,13 @@ template <typename WT, typename MObj, typename Accum, typename SR,
           typename AT, typename UT>
 void mxv(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
          const ShardedMatrix<AT>& A, const Vector<UT>& u) {
-  detail::sync_operands(&w, &u, out);
+  // A barrier on the home context: no halo leg is credited overlap with
+  // kernels issued before this op.
+  w.context().align_streams();
   const auto& shards = A.shards();
   if (shards.size() <= 1) {
     // Single-shard passthrough: the exact GpuSim pipeline (adaptive kernel
-    // selection, direction engine, fusion recording) on the home view.
+    // selection, direction engine, chain rule) on the home view.
     gpu_backend::mxv(w, out, accum, sr, A.home(), u);
     return;
   }
@@ -338,7 +328,9 @@ template <typename WT, typename MObj, typename Accum, typename SR,
           typename UT, typename AT>
 void vxm(Vector<WT>& w, const OutputDescriptor<MObj>& out, Accum accum, SR sr,
          const Vector<UT>& u, const ShardedMatrix<AT>& A) {
-  detail::sync_operands(&w, &u, out);
+  // A barrier on the home context: no halo leg is credited overlap with
+  // kernels issued before this op.
+  w.context().align_streams();
   const auto& shards = A.shards();
   if (shards.size() <= 1) {
     gpu_backend::vxm(w, out, accum, sr, u, A.home());

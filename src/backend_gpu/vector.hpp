@@ -18,7 +18,6 @@
 #include "gpu_sim/algorithms.hpp"
 #include "gpu_sim/context.hpp"
 #include "gpu_sim/device_vector.hpp"
-#include "sparse/fusion_plan.hpp"
 
 namespace grb::gpu_backend {
 
@@ -41,21 +40,13 @@ class Vector {
   // Copies carry only the canonical dense form; the sparse/nvals caches are
   // rebuilt on demand so a copy does not pay (or distort) d2d traffic for
   // cache state.
-  //
-  // Copy/move/destroy are materialization points for the lazy op-DAG when a
-  // pending recorded op references the source or destination address: the
-  // dag identifies containers by address, so storage must not move or die
-  // (and device bytes must not be read or overwritten) under a pending op.
-  // Touch-filtered so an unrelated temporary never cuts a fusion chain.
   Vector(const Vector& other)
-      : size_((sparse::fusion_sync_if_touches(&other), other.size_)),
+      : size_(other.size_),
         ctx_(other.ctx_),
         values_(other.values_),
         present_(other.present_) {}
   Vector& operator=(const Vector& other) {
     if (this != &other) {
-      sparse::fusion_sync_if_touches(this);
-      sparse::fusion_sync_if_touches(&other);
       size_ = other.size_;
       ctx_ = other.ctx_;
       values_ = other.values_;
@@ -65,7 +56,7 @@ class Vector {
     return *this;
   }
   Vector(Vector&& other) noexcept
-      : size_((sparse::fusion_sync_if_touches(&other), other.size_)),
+      : size_(other.size_),
         ctx_(other.ctx_),
         values_(std::move(other.values_)),
         present_(std::move(other.present_)),
@@ -75,8 +66,6 @@ class Vector {
         sparse_valid_(other.sparse_valid_) {}
   Vector& operator=(Vector&& other) noexcept {
     if (this != &other) {
-      sparse::fusion_sync_if_touches(this);
-      sparse::fusion_sync_if_touches(&other);
       size_ = other.size_;
       ctx_ = other.ctx_;
       values_ = std::move(other.values_);
@@ -88,13 +77,10 @@ class Vector {
     }
     return *this;
   }
-  ~Vector() { sparse::fusion_sync_if_touches(this); }
-
   IndexType size() const { return size_; }
   gpu_sim::Context& context() const { return *ctx_; }
 
   IndexType nvals() const {
-    sparse::fusion_sync_if_touches(this);  // host read of a pending output
     if (!nvals_valid_) {
       nvals_cache_ = static_cast<IndexType>(gpu_sim::count_if(
           present_, [](std::uint8_t p) { return p != 0; }));
@@ -108,7 +94,6 @@ class Vector {
   /// Materializes (and stats-counts) at most once per dirty epoch; the
   /// element count doubles as a free nvals.
   const gpu_sim::device_vector<IndexType>& sparse_indices() const {
-    sparse::fusion_sync_if_touches(this);  // reads the presence bitmap
     if (!sparse_valid_) {
       sparse_indices_ = gpu_sim::device_vector<IndexType>(*ctx_);
       const std::size_t kept =
@@ -122,7 +107,6 @@ class Vector {
   }
 
   void clear() {
-    sparse::fusion_sync_if_touches(this);
     gpu_sim::fill(values_, T{});
     gpu_sim::fill(present_, std::uint8_t{0});
     invalidate_caches();
@@ -134,7 +118,6 @@ class Vector {
   void resize(IndexType size) {
     if (size == 0)
       throw InvalidValueException("resize: size must be positive");
-    sparse::fusion_sync_if_touches(this);  // storage may move under resize
     const IndexType old = size_;
     values_.resize(size);
     present_.resize(size);
@@ -159,7 +142,6 @@ class Vector {
              DupOp dup) {
     if (indices.size() < n)
       throw InvalidValueException("build: index array shorter than n");
-    sparse::fusion_sync_if_touches(this);
     // Assemble on host (dup handling is order-sensitive), then one upload.
     std::vector<T> vals(size_, T{});
     std::vector<std::uint8_t> pres(size_, 0);
@@ -182,7 +164,6 @@ class Vector {
 
   bool has_element(IndexType i) const {
     bounds_check(i);
-    sparse::fusion_sync_if_touches(this);
     std::uint8_t p;
     ctx_->copy_d2h(&p, present_.data() + i, 1);
     return p != 0;
@@ -198,7 +179,6 @@ class Vector {
 
   void set_element(IndexType i, const T& v) {
     bounds_check(i);
-    sparse::fusion_sync_if_touches(this);
     const std::uint8_t one = 1;
     ctx_->copy_h2d(values_.data() + i, &v, sizeof(T));
     ctx_->copy_h2d(present_.data() + i, &one, 1);
@@ -207,7 +187,6 @@ class Vector {
 
   void remove_element(IndexType i) {
     bounds_check(i);
-    sparse::fusion_sync_if_touches(this);
     const std::uint8_t zero = 0;
     const T blank{};
     ctx_->copy_h2d(present_.data() + i, &zero, 1);
@@ -216,7 +195,6 @@ class Vector {
   }
 
   void extract_tuples(IndexArrayType& indices, std::vector<T>& values) const {
-    sparse::fusion_sync_if_touches(this);
     const auto vals = values_.to_host();
     const auto pres = present_.to_host();
     indices.clear();
@@ -248,8 +226,6 @@ class Vector {
   /// Equal presence, and == on every present value: one device kernel over
   /// both vectors, whose bool is the only thing that reaches the host.
   friend bool operator==(const Vector& a, const Vector& b) {
-    sparse::fusion_sync_if_touches(&a);
-    sparse::fusion_sync_if_touches(&b);
     if (a.size_ != b.size_) return false;
     const T* av = a.values_.data();
     const T* bv = b.values_.data();

@@ -101,14 +101,11 @@ class ExecutionPolicy {
   /// @p where (the algorithm) and which condition fired. Algorithms call
   /// this once per iteration, before the iteration's work.
   void checkpoint(const char* where) const {
-    // Fusion barrier: drain the lazy op-DAG so cancellation observes the
-    // iteration-boundary invariant above — on GpuSim a recorded-but-not-
-    // launched op must not outlive a CancelledException. Also bounds fusion
-    // groups to within one iteration. No-op when nothing is pending.
+    // Fusion barrier: a composite launch never spans two iterations.
     sparse::fusion_sync_all();
-    // Likewise drain every shard context of the thread's placement: an
-    // iteration boundary is a multi-device barrier, so no shard's transfer
-    // stream can carry overlap credit across it (docs/sharding.md).
+    // An iteration boundary is also a multi-device barrier: align every
+    // context of the thread's placement, so no shard's transfer stream can
+    // carry overlap credit across it (docs/sharding.md).
     gpu_sim::sync_placement();
     if (cancelled())
       throw CancelledException(std::string(where) + ": cancel token set");

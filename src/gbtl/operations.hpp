@@ -480,12 +480,10 @@ void select(Vector<WT, Tag>& w, const MaskT& mask, const Accum& accum,
 // Convenience
 // ===========================================================================
 
-/// GrB_wait (mode ALL, process-wide): force every recorded-but-unlaunched
-/// operation in the lazy op-DAG to materialize. On GpuSim, whitelisted
-/// vector ops are deferred into a per-thread DAG and fused/overlapped at
-/// materialization points (host reads, container mutation/destruction,
-/// backend boundaries); wait() is the explicit such point. A no-op when
-/// nothing is pending, so it is always safe to call.
+/// GrB_wait: every operation has already run when it returns, so wait()
+/// only ends the calling thread's composite-launch chains on GpuSim: no
+/// later op is charged as part of a composite launch begun before it
+/// (docs/fusion.md). Always safe to call.
 inline void wait() { sparse::fusion_sync_all(); }
 
 /// [0, 1, ..., n-1] as an explicit array, for callers that need a real

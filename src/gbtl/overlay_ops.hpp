@@ -14,7 +14,8 @@
 ///
 /// These are deliberately NOT in backend_ops: GpuShard has no overlay
 /// kernels (a sharded graph compacts before upload instead), and the GpuSim
-/// implementations run eagerly outside the fusion DAG.
+/// implementations are charged their own launches (they join no
+/// composite-launch chain).
 ///
 /// The backends index their buffers by the overlay's rows and columns
 /// unchecked, so both entry points validate the overlay against `A` before

@@ -1,48 +1,28 @@
 #include "gpu_sim/context.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <string>
 
 namespace gpu_sim {
 
-namespace {
-/// Materialization hook installed by the lazy-fusion layer; atomic because
-/// install races with concurrent clock reads from other threads.
-std::atomic<Context::DrainHook> g_drain_hook{nullptr};
-}  // namespace
-
-void Context::set_drain_hook(DrainHook hook) {
-  g_drain_hook.store(hook, std::memory_order_release);
-}
-
-void Context::run_drain_hook() {
-  if (DrainHook hook = g_drain_hook.load(std::memory_order_acquire))
-    hook();
-}
-
 Context::Context(DeviceProperties props, std::size_t worker_count)
     : props_(props), pool_(worker_count) {}
 
 Context::~Context() {
-  // Recorded-but-pending ops may still reference this device's memory;
-  // drain them while the arena is alive.
-  run_drain_hook();
   // Cached pool blocks have no client owner left to release them.
   std::lock_guard<std::mutex> lock(mutex_);
   trim_locked();
 }
 
 DeviceStats Context::stats() const {
-  run_drain_hook();  // observing counters is a materialization point
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
 }
 
 void Context::reset_stats() {
-  run_drain_hook();
   std::lock_guard<std::mutex> lock(mutex_);
+  chain_.live = false;
   DeviceStats fresh;
   for_each_counter([&](const char*, auto field, CounterKind kind) {
     if (kind == CounterKind::kPointInTime) fresh.*field = stats_.*field;
@@ -53,7 +33,6 @@ void Context::reset_stats() {
 }
 
 double Context::simulated_time_s() const {
-  run_drain_hook();  // observing the clock is a materialization point
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_.simulated_kernel_time_s + stats_.simulated_transfer_time_s;
 }
@@ -77,7 +56,6 @@ std::size_t Context::create_stream() {
 }
 
 double Context::stream_clock_s(std::size_t sid) const {
-  run_drain_hook();
   std::lock_guard<std::mutex> lock(mutex_);
   if (sid >= timeline_end_.size())
     throw InvalidLaunchConfig("unknown stream id " + std::to_string(sid));
@@ -85,7 +63,6 @@ double Context::stream_clock_s(std::size_t sid) const {
 }
 
 double Context::makespan_s() const {
-  run_drain_hook();
   std::lock_guard<std::mutex> lock(mutex_);
   return makespan_locked();
 }
@@ -100,6 +77,7 @@ void Context::stream_wait(std::size_t sid, double t_s) {
 void Context::align_streams() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::fill(timeline_end_.begin(), timeline_end_.end(), makespan_locked());
+  chain_.live = false;
 }
 
 std::size_t Context::transfer_stream() {
@@ -109,6 +87,49 @@ std::size_t Context::transfer_stream() {
     transfer_stream_id_ = timeline_end_.size() - 1;
   }
   return transfer_stream_id_;
+}
+
+ChainStep Context::open_op(const ChainOp& op, ChainRule rule) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ChainStep step;
+  step.launches_at_open = launch_seq_;
+  // A composite kernel cannot straddle another kernel or a copy.
+  if (!chain_.live || chain_.closed_at != work_seq_ || !rule(chain_.last, op))
+    return step;
+  step.joined = true;
+  step.head_charged = chain_.launches > 0;
+  if (++chain_.ops == 2) {
+    // The head's launches after its first would have been elided had it
+    // run inside the composite. Nothing ran here since, so stream 0 still
+    // ends with them. modeled_kernel_time is at least the overhead, so no
+    // credited launch goes below zero.
+    const std::uint64_t elided = chain_.launches > 0 ? chain_.launches - 1 : 0;
+    const double credit =
+        static_cast<double>(elided) * props_.kernel_launch_overhead_s;
+    stats_.simulated_kernel_time_s -= credit;
+    timeline_end_[0] -= credit;
+    stats_.launches_elided += elided;
+    ++stats_.fused_launches;
+    update_overlap_locked();
+  }
+  return step;
+}
+
+void Context::close_op(const ChainOp& op, const ChainStep& step) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!step.joined) {
+    chain_.ops = 1;
+    chain_.launches = 0;
+  }
+  chain_.launches += launch_seq_ - step.launches_at_open;
+  chain_.last = op;
+  chain_.closed_at = work_seq_;
+  chain_.live = true;
+}
+
+void Context::end_chain() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  chain_.live = false;
 }
 
 void* Context::malloc_locked(std::size_t bytes) {
@@ -239,6 +260,7 @@ void Context::check_device_range(const void* ptr, std::size_t bytes,
 void Context::copy_h2d(void* dst_device, const void* src_host,
                        std::size_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
+  ++work_seq_;
   check_device_range(dst_device, bytes, "copy_h2d dst");
   std::memcpy(dst_device, src_host, bytes);
   ++stats_.h2d_transfers;
@@ -256,6 +278,7 @@ void Context::copy_h2d(void* dst_device, const void* src_host,
 void Context::copy_d2h(void* dst_host, const void* src_device,
                        std::size_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
+  ++work_seq_;
   check_device_range(src_device, bytes, "copy_d2h src");
   std::memcpy(dst_host, src_device, bytes);
   ++stats_.d2h_transfers;
@@ -270,6 +293,7 @@ void Context::copy_d2h(void* dst_host, const void* src_device,
 void Context::copy_d2d(void* dst_device, const void* src_device,
                        std::size_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
+  ++work_seq_;
   check_device_range(dst_device, bytes, "copy_d2d dst");
   check_device_range(src_device, bytes, "copy_d2d src");
   std::memmove(dst_device, src_device, bytes);
@@ -289,6 +313,7 @@ void Context::copy_h2d_async(void* dst_device, const void* src_host,
     throw InvalidLaunchConfig("unknown stream id " +
                               std::to_string(stream_id));
   check_device_range(dst_device, bytes, "copy_h2d_async dst");
+  ++work_seq_;
   std::memcpy(dst_device, src_host, bytes);  // functionally immediate
   ++stats_.h2d_transfers;
   stats_.h2d_bytes += bytes;
@@ -305,6 +330,7 @@ void Context::copy_d2h_async(void* dst_host, const void* src_device,
     throw InvalidLaunchConfig("unknown stream id " +
                               std::to_string(stream_id));
   check_device_range(src_device, bytes, "copy_d2h_async src");
+  ++work_seq_;
   std::memcpy(dst_host, src_device, bytes);  // functionally immediate
   ++stats_.d2h_transfers;
   stats_.d2h_bytes += bytes;
@@ -327,6 +353,8 @@ void Context::validate_launch(const Dim3& grid, const Dim3& block) const {
 
 void Context::account_launch(const LaunchStats& stats) {
   std::lock_guard<std::mutex> lock(mutex_);
+  ++launch_seq_;
+  ++work_seq_;
   ++stats_.kernel_launches;
   stats_.kernel_ops += stats.ops;
   stats_.kernel_bytes_read += stats.bytes_read;
@@ -353,7 +381,10 @@ FusedLaunchScope*& FusedLaunchScope::current() {
   return tl_scope;
 }
 
-FusedLaunchScope::FusedLaunchScope() : prev_(current()) { current() = this; }
+FusedLaunchScope::FusedLaunchScope(bool head_charged)
+    : prev_(current()), head_charged_(head_charged) {
+  current() = this;
+}
 
 FusedLaunchScope::~FusedLaunchScope() { current() = prev_; }
 

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -29,6 +30,29 @@
 #include "gpu_sim/thread_pool.hpp"
 
 namespace gpu_sim {
+
+/// One vector op as the composite-launch chain rule sees it
+/// (sparse/fusion_plan.hpp): the fusion layer's kind tag, the containers it
+/// writes and reads, its operand scale, and the issuing thread's barrier
+/// epoch. The context stores the last one; the rule reads them.
+struct ChainOp {
+  unsigned kind = 0;
+  const void* output = nullptr;
+  std::array<const void*, 4> inputs{};
+  std::size_t n_inputs = 0;
+  std::size_t items = 0;
+  std::uint64_t epoch = 0;
+};
+
+/// May @p next continue the chain whose last op is @p prev?
+using ChainRule = bool (*)(const ChainOp& prev, const ChainOp& next);
+
+/// What Context::open_op decided for one op.
+struct ChainStep {
+  bool joined = false;        ///< continues the chain of the last op
+  bool head_charged = false;  ///< that chain already paid a launch overhead
+  std::uint64_t launches_at_open = 0;
+};
 
 /// CUDA-style 3-component launch geometry. Graph kernels in this code base
 /// are one-dimensional; y/z exist for API fidelity.
@@ -98,14 +122,29 @@ class Context {
   /// cudaStreamWaitEvent edge (Event::time_s() supplies t_s).
   void stream_wait(std::size_t sid, double t_s);
   /// Barrier without cost: every timeline jumps to the makespan
-  /// (cudaDeviceSynchronize for the cost model). Called at fusion-drain
-  /// entry so a stale transfer-stream timeline can't fabricate overlap.
+  /// (cudaDeviceSynchronize for the cost model), so a stale transfer-stream
+  /// timeline can't fabricate overlap for later work. Sharded mxv/vxm call
+  /// it on their home context at entry and sync_placement() at every
+  /// checkpoint. It also ends the composite-launch chain.
   void align_streams();
   /// The device's dedicated copy-engine stream, created lazily on first use
-  /// (one persistent stream rather than one per drain, so long-running
-  /// processes don't grow the timeline table without bound). The fusion
-  /// planner stages index uploads here to overlap PCIe with kernel time.
+  /// (one persistent stream, so long-running processes don't grow the
+  /// timeline table without bound). Sharded mxv/vxm run their halo
+  /// exchange here to overlap PCIe with kernel time.
   std::size_t transfer_stream();
+
+  // --- Composite-launch chains (cost model; sparse/fusion_plan.hpp) -------
+  /// An op opens: it joins the chain of the op that closed last on this
+  /// context when no launch or copy ran here since and @p rule allows it.
+  /// When the second op joins, the head op, which ran before anyone knew
+  /// it would lead a chain, is credited its launches after its first:
+  /// kernel_launch_overhead_s each off the kernel time and stream 0's
+  /// clock, counted in launches_elided, plus one fused_launches per chain.
+  ChainStep open_op(const ChainOp& op, ChainRule rule);
+  /// The op that @p step opened closes; the next op may continue it.
+  void close_op(const ChainOp& op, const ChainStep& step);
+  /// Barrier: no later op continues the current chain.
+  void end_chain();
 
   // --- Memory management (cudaMalloc / cudaFree analogue) ---------------
   void* malloc_bytes(std::size_t bytes);
@@ -220,14 +259,6 @@ class Context {
     count_locked(updates...);
   }
 
-  /// Process-wide materialization hook installed by the lazy-fusion layer
-  /// (sparse/fusion_plan.hpp): called before any host read of the clock or
-  /// stats and on context destruction, so pending recorded ops execute
-  /// before their effects are observed. gpu_sim itself stays independent of
-  /// the fusion layer — it only owns this seam.
-  using DrainHook = void (*)();
-  static void set_drain_hook(DrainHook hook);
-
   ThreadPool& pool() { return pool_; }
 
  private:
@@ -244,7 +275,6 @@ class Context {
   /// every accounting step grows the serial sum at least as much as the
   /// makespan).
   void update_overlap_locked();
-  static void run_drain_hook();
 
   void count_locked() {}
   template <typename T, typename... Rest>
@@ -274,18 +304,32 @@ class Context {
   /// Lazily-created dedicated copy stream id; 0 means "not created yet"
   /// (stream 0 is the compute stream, never the transfer stream).
   std::size_t transfer_stream_id_ = 0;
+  /// Launches, and launches plus copies, ever run on this context (never
+  /// reset): the chain rule's "nothing ran since" test and per-op counts.
+  std::uint64_t launch_seq_ = 0;
+  std::uint64_t work_seq_ = 0;
+  /// The composite-launch chain the last op closed (open_op/close_op).
+  struct Chain {
+    ChainOp last;
+    bool live = false;            ///< the last op may be continued
+    std::uint64_t closed_at = 0;  ///< work_seq_ when it closed
+    std::size_t ops = 0;
+    std::uint64_t launches = 0;
+  } chain_;
 };
 
 /// RAII scope under which this thread's kernel launches form one composite
 /// ("fused") launch for the cost model: the first launch inside the scope is
 /// charged in full, every further launch is charged its work time only —
 /// the fixed kernel_launch_overhead_s is elided and counted in
-/// DeviceStats::launches_elided. Functional execution is unchanged; only
-/// the clock and the launch accounting differ. Thread-local by design so
-/// concurrent service workers cannot bleed fusion scopes into each other.
+/// DeviceStats::launches_elided. @p head_charged opens the scope with the
+/// composite's overhead already paid (an op joining a chain). Functional
+/// execution is unchanged; only the clock and the launch accounting differ.
+/// Thread-local by design so concurrent service workers cannot bleed fusion
+/// scopes into each other.
 class FusedLaunchScope {
  public:
-  FusedLaunchScope();
+  explicit FusedLaunchScope(bool head_charged = false);
   ~FusedLaunchScope();
 
   FusedLaunchScope(const FusedLaunchScope&) = delete;
@@ -297,7 +341,7 @@ class FusedLaunchScope {
   static FusedLaunchScope*& current();
 
   FusedLaunchScope* prev_;
-  bool head_charged_ = false;
+  bool head_charged_;
 };
 
 /// The calling thread's current device, analogous to CUDA's implicit

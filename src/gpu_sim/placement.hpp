@@ -64,7 +64,7 @@ class ScopedPlacement {
   std::vector<Context*> previous_;
 };
 
-/// Drain every context of the calling thread's placement (plus the home
+/// Barrier on every context of the calling thread's placement (plus the home
 /// device): align all stream timelines so no shard context's transfer
 /// stream can retroactively fabricate overlap across an algorithm
 /// checkpoint. The multi-context analogue of the cudaDeviceSynchronize each

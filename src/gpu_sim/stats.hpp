@@ -169,9 +169,9 @@ struct DeviceStats {
     return t;
   }
 
-  // Lazy op-DAG fusion activity (sparse/fusion_plan.hpp): multi-op groups
-  // the planner charged as one composite launch, individual launches whose
-  // fixed overhead that composite accounting elided, and wall-clock seconds
+  // Composite-launch activity (sparse/fusion_plan.hpp): multi-op chains
+  // charged as one composite launch, individual launches whose fixed
+  // overhead that composite accounting elided, and wall-clock seconds
   // the multi-stream timeline hid by overlapping transfers with kernels
   // (serial sum of modeled durations minus the makespan over all streams).
   std::uint64_t fused_launches = 0;

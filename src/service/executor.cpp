@@ -327,10 +327,9 @@ void QueryExecutor::worker_main(std::size_t worker_index) {
       res.error = e.what();
     }
     res.version = snap->version;
-    // Backend boundary: drain this worker's lazy op-DAG and every context
-    // of its placement before the result is published, so no recorded op
-    // or in-flight shard transfer survives into the next query (or into
-    // this worker's context teardown).
+    // Backend boundary: end this worker's composite-launch chains and align
+    // every context of its placement before the result is published, so no
+    // chain or in-flight shard transfer carries into the next query.
     sparse::fusion_sync_all();
     gpu_sim::sync_placement();
     resolve(*job, std::move(res));

@@ -55,10 +55,10 @@ constexpr unsigned kInstances = 40;
 
 // mxv/vxm sweep every SpMV dispatch mode zipped with a traversal-direction
 // pin AND a fusion-mode pin, so each run also exercises the push scatter /
-// pull gather engines and the lazy op-DAG record/replay path alongside the
+// pull gather engines and the composite-launch chain rule alongside the
 // kernel variants (a full cross product would multiply fuzz time for no new
-// code paths: direction is chosen before the SpMV kernel, and fusion is a
-// frontdoor recording layer orthogonal to both).
+// code paths: direction is chosen before the SpMV kernel, and the chain
+// rule is a cost-model layer orthogonal to both).
 struct GpuModeZip {
   sparse::SpmvMode spmv;
   sparse::DirectionMode direction;
@@ -940,8 +940,8 @@ TEST_P(DifferentialFuzz, EWiseAdd) {
                           replace ? grb::Replace : grb::Merge);
           });
           expect_matches(pw, want, "cpupar eWiseAdd vec");
-          // The GPU leg runs both eagerly and through the op-DAG recorder
-          // (matrix eWise ops always drain eagerly, so only the vector leg
+          // The GPU leg runs with fusion off and forced on (matrix eWise ops
+          // never join a composite-launch chain, so only the vector leg
           // sweeps fusion).
           for (const auto fmode :
                {sparse::FusionMode::Off, sparse::FusionMode::Fuse}) {
@@ -1177,8 +1177,8 @@ TEST_P(DifferentialFuzz, Traversal) {
     expect_same_tuples(pdist, sdist, "cpupar sssp");
 
     // Direction zipped with fusion mode: whole traversals must be
-    // bit-identical whether each level's ops launch eagerly or through
-    // the op-DAG's fused replay.
+    // bit-identical whether each level's ops are charged separately or
+    // chained into composite launches.
     constexpr std::pair<sparse::DirectionMode, sparse::FusionMode>
         kTraversalZip[] = {
             {sparse::DirectionMode::ForcePush, sparse::FusionMode::Off},

@@ -1,17 +1,18 @@
-/// Unit tests for the lazy op-DAG (sparse/fusion_plan.hpp): recording,
-/// fusion legality, launch-overhead elision, transfer/compute overlap, the
-/// materialization points, and bit-exactness of fused replay against the
-/// eager path.
+/// Unit tests for the composite-launch chain rule (sparse/fusion_plan.hpp):
+/// fusion legality, launch-overhead elision and the head credit, what ends
+/// a chain, and bit-exactness of chained ops against unchained ones.
 
 #include <gtest/gtest.h>
 
-#include <future>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "algorithms/pagerank.hpp"
 #include "gbtl/gbtl.hpp"
 #include "gpu_sim/context.hpp"
+#include "graph/generators.hpp"
+#include "graph/graph_matrix.hpp"
 #include "sparse/fusion_plan.hpp"
 
 namespace {
@@ -70,34 +71,6 @@ TEST(Fusion, GuardPinsAndRestoresMode) {
   EXPECT_EQ(sparse::fusion_mode(), before);
 }
 
-// The mode is process-wide: another thread's guard can switch fusion off
-// while this thread holds a recorded op. The next op this thread runs
-// eagerly must run the pending one first, or it reads a stale output.
-TEST(Fusion, OffFromAnotherThreadRunsPendingOpsFirst) {
-  gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
-  gpu_sim::ScopedDevice bind(ctx);
-  FusionGuard fuse(FusionMode::Fuse);
-  grb::Vector<double, GpuSim> u(4), w(4), z(4);
-  u.setElement(1, 2.0);
-  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
-             [](double x) { return x + 1.0; }, u);
-  ASSERT_FALSE(sparse::op_dag().nodes.empty());  // w is pending
-
-  std::promise<void> off, done;
-  std::thread other([&] {
-    FusionGuard guard(FusionMode::Off);
-    off.set_value();
-    done.get_future().wait();
-  });
-  off.get_future().wait();
-  grb::apply(z, grb::NoMask{}, grb::NoAccumulate{},
-             [](double x) { return 2.0 * x; }, w);
-  done.set_value();
-  other.join();
-  ASSERT_TRUE(z.hasElement(1));
-  EXPECT_EQ(z.extractElement(1), 6.0);
-}
-
 TEST(Fusion, FusedChainElidesLaunchOverhead) {
   gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
   gpu_sim::ScopedDevice bind(ctx);
@@ -113,7 +86,7 @@ TEST(Fusion, FusedChainElidesLaunchOverhead) {
 
   EXPECT_GT(delta.fused_launches, 0u);
   EXPECT_GT(delta.launches_elided, 0u);
-  // Elision removes overhead, never launches: every recorded op still runs.
+  // Elision removes overhead, never launches: every op still runs.
   EXPECT_GT(delta.kernel_launches, delta.launches_elided);
   // Each elided launch saves exactly the fixed overhead on the clock.
   EXPECT_GT(delta.launches_elided * ctx.properties().kernel_launch_overhead_s,
@@ -134,7 +107,6 @@ TEST(Fusion, OffModeRecordsNothingAndElidesNothing) {
 
   EXPECT_EQ(delta.fused_launches, 0u);
   EXPECT_EQ(delta.launches_elided, 0u);
-  EXPECT_TRUE(sparse::op_dag().nodes.empty());
 }
 
 TEST(Fusion, FusedReplayIsBitExact) {
@@ -160,7 +132,7 @@ TEST(Fusion, FusedReplayIsBitExact) {
   EXPECT_EQ(eager.first, autod.first);
   ASSERT_EQ(eager.second.size(), fused.second.size());
   for (std::size_t i = 0; i < eager.second.size(); ++i) {
-    // Bitwise equality, not tolerance: replay runs the identical eager body.
+    // Bitwise equality, not tolerance: every mode runs the same op bodies.
     EXPECT_EQ(eager.second[i], fused.second[i]) << "i=" << i;
     EXPECT_EQ(eager.second[i], autod.second[i]) << "i=" << i;
   }
@@ -197,64 +169,16 @@ TEST(Fusion, HostReadsMaterializePendingOps) {
   FusionGuard guard(FusionMode::Fuse);
   grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
              [](double x) { return x + 41.0; }, u);
-  EXPECT_FALSE(sparse::op_dag().nodes.empty());  // recorded, not launched
-  // The host read is a materialization point: the value must be current.
   EXPECT_EQ(w.extractElement(7), 42.0);
-  EXPECT_TRUE(sparse::op_dag().nodes.empty());
 
   grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
              [](double x) { return x + 1.0; }, w);
-  EXPECT_FALSE(sparse::op_dag().nodes.empty());
-  EXPECT_EQ(w.nvals(), 32u);  // nvals() is a materialization point too
-  EXPECT_TRUE(sparse::op_dag().nodes.empty());
+  EXPECT_EQ(w.nvals(), 32u);
 
   grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
              [](double x) { return x + 1.0; }, w);
-  grb::wait();  // the explicit materialization point
-  EXPECT_TRUE(sparse::op_dag().nodes.empty());
+  grb::wait();
   EXPECT_EQ(w.extractElement(0), 44.0);
-}
-
-TEST(Fusion, UnrelatedTemporaryDeathKeepsChainPending) {
-  gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
-  gpu_sim::ScopedDevice bind(ctx);
-  auto u = ones_vector(32);
-  grb::Vector<double, GpuSim> w(32);
-
-  FusionGuard guard(FusionMode::Fuse);
-  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
-             [](double x) { return x + 1.0; }, u);
-  {
-    grb::Vector<double, GpuSim> unrelated(8);  // never touches the chain
-  }
-  // The touch filter must not have drained the pending apply.
-  EXPECT_FALSE(sparse::op_dag().nodes.empty());
-  grb::wait();
-}
-
-TEST(Fusion, PrefetchedIndexUploadHidesTransferTime) {
-  gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
-  gpu_sim::ScopedDevice bind(ctx);
-  const IndexType n = 8192;
-  auto a = ring_graph(n);
-  auto u = ones_vector(n);
-  grb::Vector<double, GpuSim> w(n), z(n);
-  const IndexArrayType all = grb::all_indices(n);
-
-  FusionGuard guard(FusionMode::Fuse);
-  const auto before = ctx.stats();
-  // The mxv keeps the compute stream busy while the planner stages the
-  // assign's index upload on the transfer stream.
-  grb::mxv(w, grb::NoMask{}, grb::NoAccumulate{},
-           grb::ArithmeticSemiring<double>{}, a, u, grb::Replace);
-  grb::assign(z, grb::NoMask{}, grb::NoAccumulate{}, 1.5, all);
-  grb::wait();
-  const auto delta = ctx.stats() - before;
-
-  EXPECT_GT(delta.overlap_seconds_hidden, 0.0);
-  // The multi-stream makespan is what overlap saves against the serial sum.
-  EXPECT_LE(ctx.makespan_s(), ctx.simulated_time_s());
-  EXPECT_EQ(z.extractElement(0), 1.5);
 }
 
 TEST(Fusion, PagerankElidesLaunchesUnderAuto) {
@@ -268,8 +192,8 @@ TEST(Fusion, PagerankElidesLaunchesUnderAuto) {
   algorithms::pagerank(a, rank, 0.85, /*tol=*/0.0, /*max_iterations=*/5);
   const auto delta = ctx.stats() - before;
 
-  // The acceptance bar for the op-DAG: a real iterative algorithm sheds
-  // launch overheads without any change to its own code.
+  // A real iterative algorithm sheds launch overheads without any change
+  // to its own code.
   EXPECT_GT(delta.launches_elided, 0u);
   EXPECT_GT(delta.fused_launches, 0u);
 
@@ -349,6 +273,126 @@ TEST(Fusion, ScalarReductionFusesWithItsProducer) {
   EXPECT_EQ(s, 64.0);  // the scalar is valid immediately on return
   EXPECT_GT(delta.fused_launches, 0u);
   EXPECT_GT(delta.launches_elided, 0u);
+}
+
+// The chain rule charges what the lazy op-DAG's grouped replay charged:
+// the head's own launches after its first are credited when a second op
+// joins. Pinned on the replaying design; dropping the head credit lowers
+// both elision counts and raises both times.
+TEST(Fusion, ChainsChargeLikeTheRecordedGroups) {
+  FusionGuard guard(FusionMode::Auto);
+  {
+    gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
+    gpu_sim::ScopedDevice bind(ctx);
+    auto a = gbtl_graph::to_matrix<double, GpuSim>(gbtl_graph::rmat(8, 16, 1));
+    grb::Vector<double, GpuSim> rank(a.nrows());
+    const auto before = ctx.stats();
+    const double t0 = ctx.simulated_time_s();
+    algorithms::pagerank(a, rank, 0.85, /*tol=*/0.0, /*max_iterations=*/10);
+    const auto delta = ctx.stats() - before;
+    EXPECT_EQ(delta.launches_elided, 194u);
+    EXPECT_EQ(delta.fused_launches, 21u);
+    EXPECT_NEAR(ctx.simulated_time_s() - t0, 241.49714782608787e-6, 1e-15);
+  }
+  {
+    gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
+    gpu_sim::ScopedDevice bind(ctx);
+    auto a = ring_graph(64);
+    auto u = ones_vector(64);
+    grb::Vector<double, GpuSim> w(64);
+    const auto before = ctx.stats();
+    const double t0 = ctx.simulated_time_s();
+    run_chain(a, u, w);
+    const auto delta = ctx.stats() - before;
+    EXPECT_EQ(delta.launches_elided, 6u);
+    EXPECT_EQ(delta.fused_launches, 1u);
+    EXPECT_NEAR(ctx.simulated_time_s() - t0, 6.0487652173912224e-6, 1e-15);
+  }
+}
+
+// A composite kernel cannot straddle another kernel: a vector constructed
+// between two dependent ops runs its fill kernels in between.
+TEST(Fusion, ForeignLaunchEndsChain) {
+  gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
+  gpu_sim::ScopedDevice bind(ctx);
+  auto u = ones_vector(32);
+  grb::Vector<double, GpuSim> w(32);
+
+  FusionGuard guard(FusionMode::Fuse);
+  const auto before = ctx.stats();
+  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
+             [](double x) { return x + 1.0; }, u);
+  grb::Vector<double, GpuSim> foreign(32);
+  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
+             [](double x) { return x * 2.0; }, w);
+  const auto delta = ctx.stats() - before;
+  EXPECT_EQ(delta.fused_launches, 0u);
+  EXPECT_EQ(delta.launches_elided, 0u);
+  EXPECT_EQ(w.extractElement(5), 4.0);
+}
+
+/// Launches elided over two dependent applies onto one output, fusion
+/// forced on, with @p between(ctx) run between them on the calling thread.
+template <typename Between>
+std::uint64_t elided_across(Between between) {
+  gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
+  gpu_sim::ScopedDevice bind(ctx);
+  auto u = ones_vector(32);
+  grb::Vector<double, GpuSim> w(32);
+
+  FusionGuard guard(FusionMode::Fuse);
+  const auto before = ctx.stats();
+  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
+             [](double x) { return x + 1.0; }, u);
+  between(ctx);
+  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
+             [](double x) { return x * 2.0; }, w);
+  const auto elided = (ctx.stats() - before).launches_elided;
+  EXPECT_EQ(w.extractElement(5), 4.0);
+  return elided;
+}
+
+TEST(Fusion, CheckpointEndsChain) {
+  EXPECT_GT(elided_across([](gpu_sim::Context&) {}), 0u);
+  EXPECT_EQ(elided_across([](gpu_sim::Context&) {
+              grb::ExecutionPolicy{}.checkpoint("test");
+            }),
+            0u);
+}
+
+// grb::wait() alone, without the stream alignment a checkpoint also does.
+TEST(Fusion, WaitEndsChain) {
+  EXPECT_EQ(elided_across([](gpu_sim::Context&) { grb::wait(); }), 0u);
+}
+
+// The per-context barrier alone, without the thread's epoch changing.
+TEST(Fusion, AlignStreamsEndsChain) {
+  EXPECT_EQ(elided_across([](gpu_sim::Context& ctx) { ctx.align_streams(); }),
+            0u);
+}
+
+// Barrier epochs are per thread: an op never continues the chain another
+// thread's op left on the same context, though nothing ran in between.
+TEST(Fusion, ChainsNeverCrossThreads) {
+  gpu_sim::Context ctx{gpu_sim::DeviceProperties{}, 1};
+  gpu_sim::ScopedDevice bind(ctx);
+  auto u = ones_vector(32);
+  grb::Vector<double, GpuSim> w(32);
+
+  FusionGuard guard(FusionMode::Fuse);
+  const auto before = ctx.stats();
+  grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
+             [](double x) { return x + 1.0; }, u);
+  std::thread other([&] {
+    gpu_sim::ScopedDevice bind_other(ctx);
+    grb::apply(w, grb::NoMask{}, grb::NoAccumulate{},
+               [](double x) { return x * 2.0; }, w);
+  });
+  other.join();
+  const auto delta = ctx.stats() - before;
+  EXPECT_EQ(delta.fused_launches, 0u);
+  EXPECT_EQ(delta.launches_elided, 0u);
+  EXPECT_EQ(w.extractElement(5), 4.0);
 }
 
 }  // namespace

@@ -147,7 +147,8 @@ TEST(GpuResidency, EqualityRunsOnDeviceAndAgreesWithSequential) {
 TEST(GpuCostShape, LoopControlCostsNoTransfer) {
   // Convergence tests, iterate rotation and whole-vector assigns stay on
   // the device: a traversal or relaxation pays only its seed's setElement
-  // (value and presence), and PageRank uploads and copies nothing.
+  // (value and presence), PageRank uploads and copies nothing, and
+  // personalized PageRank uploads its seed mask once per call.
   gpu_sim::Context ctx;
   gpu_sim::ScopedDevice bind(ctx);
   auto a = gbtl_graph::to_matrix<double, grb::GpuSim>(
@@ -176,6 +177,17 @@ TEST(GpuCostShape, LoopControlCostsNoTransfer) {
       [&] { algorithms::pagerank(a, rank, 0.85, /*tol=*/0.0, 10); });
   EXPECT_EQ(pr.h2d_transfers, 0u);
   EXPECT_EQ(pr.d2d_copies, 0u);
+  const grb::IndexArrayType seeds = {3, 17, 64, 200, 511};
+  const auto ppr = [&](IndexType iterations) {
+    return measure([&] {
+      algorithms::personalized_pagerank(a, seeds, rank, 0.85, /*tol=*/0.0,
+                                        iterations);
+    });
+  };
+  const auto ppr5 = ppr(5), ppr10 = ppr(10);
+  EXPECT_EQ(ppr5.d2d_copies, 0u);
+  EXPECT_EQ(ppr10.d2d_copies, 0u);
+  EXPECT_EQ(ppr10.h2d_transfers, ppr5.h2d_transfers);
 }
 
 TEST(GpuCostShape, LargeMxvBeatsManySmallOnes) {
